@@ -15,8 +15,8 @@ Usage::
     python -m repro chaos [--seed 7] [--workers 4] [--json chaos.json]
     python -m repro bench-shards [--workers 1 2 4 8] [--json BENCH_shards.json]
     python -m repro stats bye-attack [--seed 7] [--format table|prom|json]
-    python -m repro rules check rules/ [pack.rules ...]
-    python -m repro rules show rules/scidive-core.rules
+    python -m repro rules check src/repro/rulespec/ [pack.rules ...]
+    python -m repro rules show src/repro/rulespec/scidive-core.rules
     python -m repro rules reload --pack custom.rules [--port 8080]
     python -m repro top [--port 8080] [--interval 1.0] [--once]
     python -m repro trace <call-id|alert-id|trace-id> [--trace-file t.jsonl]
@@ -30,7 +30,7 @@ Usage::
 disables indexed dispatch for A/B comparison), ``stats`` runs a
 scenario with full observability and prints the per-stage/per-rule
 report, ``table1`` regenerates the paper's attack matrix, ``modules``
-lists the registered protocol modules with their generators and rules.
+lists the registered protocol modules with their generators.
 ``bench-shards`` sweeps the session-sharded cluster across worker
 counts.  ``--workers N`` (scenario/replay) shards the replay across N
 worker engines by session affinity (see :mod:`repro.cluster`);
@@ -45,9 +45,12 @@ seconds — ``repro top`` renders a live dashboard over it; ``--bundle-dir``
 makes every alert write an evidence bundle (JSON + pcap) there, and
 ``explain`` renders one bundle by alert id.
 
-Rule packs (:mod:`repro.rulespec`): ``replay --rules PACK`` compiles the
-detection policy from a ``.rules`` file instead of the built-in rule
-classes (single engine and ``--workers N`` alike); ``rules check`` lints
+Rule packs (:mod:`repro.rulespec`): detection policy is a ``.rules``
+pack, and without ``--rules`` every command runs the shipped one
+(``src/repro/rulespec/scidive-core.rules``).  To tune a rule, copy that
+file, edit the rule (``threshold = 8``, ``enabled = false``, ...), bump
+its version and pass it as ``replay --rules PACK`` (single engine and
+``--workers N`` alike) or hot-reload it; ``rules check`` lints
 packs with line-anchored diagnostics (exit 1 on errors — CI runs it);
 ``rules show`` prints a pack's identity (name@version+hash) and compiled
 rules; ``rules reload`` hot-swaps the pack on a *running* engine or
@@ -136,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="disable indexed dispatch (reference fan-out mode)")
     replay.add_argument("--rules", default=None, metavar="PACK",
                         help="compile the detection policy from this .rules "
-                             "pack instead of the built-in rule classes")
+                             "pack instead of the shipped one")
     _add_cluster_flags(replay)
     _add_obs_flags(replay)
     _add_serve_flags(replay)
@@ -712,10 +715,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             else:
                 engine.process_trace(trace)
         mode = "broadcast" if args.broadcast else "indexed"
-        if engine.rulepack is not None:
-            mode += f" dispatch, pack {engine.rulepack.label}"
-        else:
-            mode += " dispatch"
+        mode += f" dispatch, pack {engine.rulepack.label}"
         print(f"replayed {len(trace)} frames ({mode}): "
               f"{engine.stats.footprints} footprints, "
               f"{engine.stats.events} events, {len(engine.alerts)} alerts")
@@ -775,8 +775,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             payload["spans_dropped"] = ctx.tracer.dropped
         payload["rule_costs"] = engine.ruleset.rule_stats()
         payload["top_rules"] = engine.ruleset.top_cost()
-        if engine.rulepack is not None:
-            payload["rulepack"] = engine.rulepack.info()
+        payload["rulepack"] = engine.rulepack.info()
         stage_q = _quantile_view(
             ctx.registry, "scidive_stage_latency_seconds", by="stage"
         )
@@ -805,8 +804,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         if ctx.tracer is not None:
             counter_rows.append(["spans recorded", len(ctx.tracer.spans)])
             counter_rows.append(["spans dropped", ctx.tracer.dropped])
-        if engine.rulepack is not None:
-            counter_rows.append(["rule pack", engine.rulepack.label])
+        counter_rows.append(["rule pack", engine.rulepack.label])
         print(format_table(
             ["metric", "value"],
             counter_rows,
@@ -1257,22 +1255,23 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 def _cmd_modules(args: argparse.Namespace) -> int:
     """Describe the registered protocol modules (the stock pipeline)."""
     from repro.core.protocols import default_modules
+    from repro.rulespec import shipped_pack
 
     rows = []
     for module in default_modules():
-        generators = module.generators()
-        rules = module.rules()
         rows.append([
             module.name,
             ",".join(sorted(p.value for p in module.protocols)),
             "yes" if module.decoder is not None else "-",
-            ", ".join(g.name for g in generators),
-            ", ".join(r.rule_id for r in rules),
+            ", ".join(g.name for g in module.generators()),
         ])
     print(format_table(
-        ["module", "protocols", "decoder", "generators", "rules"],
+        ["module", "protocols", "decoder", "generators"],
         rows, title="Registered protocol modules",
     ))
+    pack = shipped_pack()
+    print(f"rules: pack {pack.label}, {len(pack.rules)} rules "
+          f"(repro rules show {pack.source_path})")
     return 0
 
 

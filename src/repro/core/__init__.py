@@ -18,7 +18,6 @@ from repro.core.protocols import (
     h323_module,
     rtcp_module,
     rtp_module,
-    ruleset_from,
     sip_module,
 )
 from repro.core.event_generators import (
@@ -62,8 +61,6 @@ from repro.core.rules_library import (
     RULE_RTP_MALFORMED,
     RULE_RTP_SEQ,
     RULE_RTP_SOURCE,
-    paper_ruleset,
-    table1_ruleset,
 )
 from repro.core.state import RegistrationTracker, SipStateTracker
 from repro.core.trail import Session, Trail, TrailManager
@@ -137,9 +134,6 @@ __all__ = [
     "read_alerts_jsonl",
     "rtcp_module",
     "rtp_module",
-    "ruleset_from",
     "sip_module",
     "write_alerts_jsonl",
-    "paper_ruleset",
-    "table1_ruleset",
 ]

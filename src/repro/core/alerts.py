@@ -36,9 +36,9 @@ class Alert:
     provenance: object | None = field(default=None, hash=False, compare=False)
     # Rule-pack provenance (repro.rulespec): the pack identity label and
     # the rule's file:line, stamped by pack-compiled rules.  Empty for
-    # hand-wired class rules — and excluded from equality/hash, so the
-    # DSL-vs-class alert-multiset equivalence proof compares detection
-    # outcomes, not which implementation produced them.
+    # rules built directly from the classes — and excluded from
+    # equality/hash, so alert-multiset comparisons (the golden, engine
+    # vs cluster) compare detection outcomes, not which pack raised them.
     pack_version: str = field(default="", hash=False, compare=False)
     rule_source: str = field(default="", hash=False, compare=False)
 

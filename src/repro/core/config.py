@@ -1,17 +1,22 @@
-"""Deployment configuration: one tunable surface for the whole IDS.
+"""Deployment configuration: the event generators' tunables.
 
 The paper positions SCIDIVE among IDSs that "can be customized with
 detection rules specific to the environment in which they are
-deployed".  :class:`ScidiveConfig` gathers every knob the rules and
-generators expose — monitoring windows, thresholds, mobility allowances
-— round-trips through plain dicts (JSON-friendly), and builds a fully
-wired :class:`~repro.core.engine.ScidiveEngine`.
+deployed".  That customisation has two halves:
+
+* :class:`ScidiveConfig` gathers the knobs the event generators expose
+  — monitoring windows, the sequence-jump bound, mobility allowances —
+  and round-trips through plain dicts (JSON-friendly);
+* rule thresholds, windows and on/off toggles are detection policy and
+  live in a rule pack (:mod:`repro.rulespec`): edit a copy of the
+  shipped pack and pass it as ``ScidiveEngine(rulepack=...)`` or
+  ``repro replay --rules``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any
 
@@ -27,13 +32,11 @@ from repro.core.event_generators import (
 )
 from repro.core.h323_generators import H323OrphanGenerator
 from repro.core.rtcp_generators import RtcpByeGenerator, SsrcTrackGenerator
-from repro.core.rules import RuleSet
-from repro.core import rules_library as lib
 
 
 @dataclass(slots=True)
 class ScidiveConfig:
-    """Every tunable in one place; defaults match the paper."""
+    """Every generator tunable in one place; defaults match the paper."""
 
     # Deployment.
     vantage_ip: str | None = None
@@ -49,44 +52,7 @@ class ScidiveConfig:
     # How long a re-registration legitimises a new source (seconds).
     reregistration_window: float = 120.0
 
-    # §3.3 thresholds.
-    dos_threshold: int = 5
-    dos_window: float = 10.0
-    password_guess_threshold: int = 4
-    password_guess_window: float = 30.0
-
-    # §3.2.
-    billing_fraud_window: float = 30.0
-
-    # Media garbage.
-    malformed_rtp_threshold: int = 3
-    malformed_rtp_window: float = 1.0
-
-    # Rule toggles (rule id -> enabled).
-    disabled_rules: tuple[str, ...] = field(default=())
-
     # -- construction -----------------------------------------------------
-
-    def build_ruleset(self) -> RuleSet:
-        rules = [
-            lib.bye_attack_rule(),
-            lib.call_hijack_rule(),
-            lib.fake_im_rule(),
-            lib.rtp_seq_rule(),
-            lib.rtp_source_rule(),
-            lib.rtp_malformed_rule(
-                threshold=self.malformed_rtp_threshold, window=self.malformed_rtp_window
-            ),
-            lib.register_dos_rule(threshold=self.dos_threshold, window=self.dos_window),
-            lib.password_guess_rule(
-                threshold=self.password_guess_threshold, window=self.password_guess_window
-            ),
-            lib.billing_fraud_rule(window=self.billing_fraud_window),
-            lib.rtcp_bye_orphan_rule(),
-            lib.ssrc_collision_rule(),
-            lib.h323_release_rule(),
-        ]
-        return RuleSet(rules=[r for r in rules if r.rule_id not in self.disabled_rules])
 
     def build_generators(self) -> list:
         return [
@@ -109,7 +75,6 @@ class ScidiveConfig:
         return ScidiveEngine(
             vantage_ip=self.vantage_ip,
             vantage_mac=self.vantage_mac,
-            ruleset=self.build_ruleset(),
             generators=self.build_generators(),
             name=self.name,
         )
@@ -117,9 +82,7 @@ class ScidiveConfig:
     # -- (de)serialisation ---------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
-        data = asdict(self)
-        data["disabled_rules"] = list(self.disabled_rules)
-        return data
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ScidiveConfig":
@@ -127,10 +90,7 @@ class ScidiveConfig:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(data)
-        if "disabled_rules" in kwargs:
-            kwargs["disabled_rules"] = tuple(kwargs["disabled_rules"])
-        return cls(**kwargs)
+        return cls(**data)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True))

@@ -38,7 +38,6 @@ from repro.core.events import Event, EventGenerator, GeneratorContext
 from repro.core.footprint import AnyFootprint, Protocol, SipFootprint
 from repro.core.hooks import FootprintHook
 from repro.core.rules import RuleSet
-from repro.core.rules_library import paper_ruleset
 from repro.core.state import RegistrationTracker, SipStateTracker
 from repro.core.trail import TrailManager
 from repro.net.capture import Sniffer
@@ -141,40 +140,33 @@ class ScidiveEngine:
         self.name = name
         self.indexed_dispatch = indexed_dispatch
         # Protocol modules are the registration unit: when given, they
-        # supply whichever of distiller/generators/ruleset the caller
-        # did not pass explicitly.
+        # supply whichever of distiller/generators the caller did not
+        # pass explicitly.
         self.modules = modules
-        # A declarative rule pack (repro.rulespec) — a RulePack object
-        # or a path to a .rules file — supplies the ruleset unless one
-        # was passed explicitly; modules still supply the distiller and
-        # generators.
-        if rulepack is not None and ruleset is None:
-            from repro.rulespec import RulePack, compile_pack, load_pack
-
-            if not isinstance(rulepack, RulePack):
-                rulepack = load_pack(rulepack)
-            ruleset = compile_pack(rulepack, indexed=indexed_dispatch)
         if modules is not None:
-            from repro.core.protocols import (
-                distiller_from,
-                generators_from,
-                ruleset_from,
-            )
+            from repro.core.protocols import distiller_from, generators_from
 
             if distiller is None:
                 distiller = distiller_from(modules)
             if generators is None:
                 generators = generators_from(modules)
-            if ruleset is None:
-                ruleset = ruleset_from(modules, indexed=indexed_dispatch)
+        # Detection policy is a rule pack (repro.rulespec): rulepack= is
+        # a RulePack or a path to a .rules file, and without one the
+        # engine compiles the shipped pack.  An explicit ruleset= wins.
+        if ruleset is None:
+            from repro.rulespec import RulePack, compile_pack, load_pack, shipped_pack
+
+            if rulepack is None:
+                rulepack = shipped_pack()
+            elif not isinstance(rulepack, RulePack):
+                rulepack = load_pack(rulepack)
+            ruleset = compile_pack(rulepack, indexed=indexed_dispatch)
         self.distiller = distiller if distiller is not None else Distiller()
         self.trails = TrailManager()
         self.sip_state = SipStateTracker()
         self.registrations = RegistrationTracker()
         self.generators = generators if generators is not None else default_generators()
-        self.ruleset = (
-            ruleset if ruleset is not None else paper_ruleset(indexed=indexed_dispatch)
-        )
+        self.ruleset = ruleset
         # The pack behind self.ruleset (None for class-built rules) —
         # read from the compiled set so a caller passing ruleset=
         # compile_pack(...) directly is also covered.

@@ -1,25 +1,27 @@
 """Protocol modules: the registration unit of the detection pipeline.
 
-A :class:`ProtocolModule` bundles everything the engine needs to speak
-one protocol: the Distiller decoder that produces its footprints, the
-event generators that consume them, and the rules its events trigger.
-The stock pipeline is five modules — SIP, RTP, RTCP, H.323 and
-accounting — and ``default_generators()`` / ``paper_ruleset()`` are now
-just flattened views over :func:`default_modules`.
+A :class:`ProtocolModule` bundles the mechanism the engine needs to
+speak one protocol: the Distiller decoder that produces its footprints
+and the event generators that consume them.  The stock pipeline is five
+modules — SIP, RTP, RTCP, H.323 and accounting — and
+``default_generators()`` is a flattened view over :func:`default_modules`.
 
-Adding a protocol end-to-end therefore means writing one module:
+Detection *policy* is not part of a module: every rule lives in a rule
+pack (:mod:`repro.rulespec`; the shipped one is
+:func:`~repro.rulespec.shipped_pack`).  Adding a protocol end-to-end
+therefore means writing one module:
 
 * a decoder ``(distiller, payload, common) -> footprint | None | CLAIMED``
   (see :mod:`repro.core.distiller`),
 * generators declaring ``protocols`` so indexed dispatch routes only
   the footprints they consume,
-* rules declaring ``trigger_events`` so the rule index routes only the
-  events they can fire on,
 
-and registering it: ``ScidiveEngine(modules=default_modules() + [mine])``.
+registering it — ``ScidiveEngine(modules=default_modules() + [mine],
+rulepack=pack)`` — and giving ``pack`` the rules for the new events
+(listing them under ``extra_events`` in its ``[pack]`` section).
 
-Generator and rule factories are callables so one module instance can
-stamp out fresh (stateful) pipelines for many engines.
+Generator factories are callables so one module instance can stamp out
+fresh (stateful) pipelines for many engines.
 """
 
 from __future__ import annotations
@@ -37,10 +39,8 @@ from repro.core.distiller import (
 )
 from repro.core.events import EventGenerator
 from repro.core.footprint import Protocol
-from repro.core.rules import Rule, RuleSet
 
 GeneratorFactory = Callable[[], list[EventGenerator]]
-RuleFactory = Callable[[], list[Rule]]
 
 # Decode-priority bands for the stock chain; custom modules slot
 # anywhere (lower runs earlier).  RTP must stay last: it owns the
@@ -56,13 +56,9 @@ def _no_generators() -> list[EventGenerator]:
     return []
 
 
-def _no_rules() -> list[Rule]:
-    return []
-
-
 @dataclass(frozen=True)
 class ProtocolModule:
-    """One protocol's decoder + generators + rules, as a unit.
+    """One protocol's decoder + generators, as a unit.
 
     ``protocols`` lists the :class:`Protocol` values the module's
     footprints carry (dispatch keys); ``decoder`` may be None for a
@@ -74,7 +70,6 @@ class ProtocolModule:
     decoder: Callable | None = None
     decode_priority: int = 100
     generators: GeneratorFactory = field(default=_no_generators)
-    rules: RuleFactory = field(default=_no_rules)
     description: str = ""
 
 
@@ -93,13 +88,6 @@ def sip_module(
         MalformedSipGenerator,
         OrphanRtpGenerator,
     )
-    from repro.core.rules_library import (
-        bye_attack_rule,
-        call_hijack_rule,
-        fake_im_rule,
-        password_guess_rule,
-        register_dos_rule,
-    )
 
     return ProtocolModule(
         name="sip",
@@ -113,13 +101,6 @@ def sip_module(
             AuthEventGenerator(),
             MalformedSipGenerator(),
         ],
-        rules=lambda: [
-            bye_attack_rule(),
-            call_hijack_rule(),
-            fake_im_rule(),
-            register_dos_rule(),
-            password_guess_rule(),
-        ],
         description="SIP dialogs, teardown watches, IM identity, REGISTER auth",
     )
 
@@ -127,11 +108,6 @@ def sip_module(
 def rtp_module(seq_jump_threshold: int = 100) -> ProtocolModule:
     """RTP media: sequence/jitter/rogue-source sanity and garbage frames."""
     from repro.core.event_generators import RtpStreamGenerator
-    from repro.core.rules_library import (
-        rtp_malformed_rule,
-        rtp_seq_rule,
-        rtp_source_rule,
-    )
 
     return ProtocolModule(
         name="rtp",
@@ -139,7 +115,6 @@ def rtp_module(seq_jump_threshold: int = 100) -> ProtocolModule:
         decoder=decode_rtp,
         decode_priority=DECODE_RTP,
         generators=lambda: [RtpStreamGenerator(seq_jump_threshold=seq_jump_threshold)],
-        rules=lambda: [rtp_seq_rule(), rtp_source_rule(), rtp_malformed_rule()],
         description="RTP stream continuity, rogue sources, media-port garbage",
     )
 
@@ -147,7 +122,6 @@ def rtp_module(seq_jump_threshold: int = 100) -> ProtocolModule:
 def rtcp_module(monitoring_window: float = 0.5) -> ProtocolModule:
     """RTCP control: forged-BYE orphans and SSRC impersonation."""
     from repro.core.rtcp_generators import RtcpByeGenerator, SsrcTrackGenerator
-    from repro.core.rules_library import rtcp_bye_orphan_rule, ssrc_collision_rule
 
     return ProtocolModule(
         name="rtcp",
@@ -158,7 +132,6 @@ def rtcp_module(monitoring_window: float = 0.5) -> ProtocolModule:
             RtcpByeGenerator(monitoring_window=monitoring_window),
             SsrcTrackGenerator(),
         ],
-        rules=lambda: [rtcp_bye_orphan_rule(), ssrc_collision_rule()],
         description="RTCP BYE watches, SSRC ownership tracking",
     )
 
@@ -166,7 +139,6 @@ def rtcp_module(monitoring_window: float = 0.5) -> ProtocolModule:
 def h323_module(monitoring_window: float = 0.5) -> ProtocolModule:
     """The H.323 CMP: H.225 call state and forged RELEASE COMPLETE."""
     from repro.core.h323_generators import H323OrphanGenerator
-    from repro.core.rules_library import h323_release_rule
 
     return ProtocolModule(
         name="h323",
@@ -174,15 +146,13 @@ def h323_module(monitoring_window: float = 0.5) -> ProtocolModule:
         decoder=decode_h323,
         decode_priority=DECODE_H323,
         generators=lambda: [H323OrphanGenerator(monitoring_window=monitoring_window)],
-        rules=lambda: [h323_release_rule()],
         description="H.225 call signalling and forged-release detection",
     )
 
 
 def accounting_module() -> ProtocolModule:
-    """The billing line protocol and the cross-protocol fraud rule."""
+    """The billing line protocol: transactions vs observed call setups."""
     from repro.core.event_generators import AccountingGenerator
-    from repro.core.rules_library import billing_fraud_rule
 
     return ProtocolModule(
         name="accounting",
@@ -190,7 +160,6 @@ def accounting_module() -> ProtocolModule:
         decoder=decode_accounting,
         decode_priority=DECODE_ACCOUNTING,
         generators=lambda: [AccountingGenerator()],
-        rules=lambda: [billing_fraud_rule()],
         description="Billing transactions vs observed call setups",
     )
 
@@ -221,14 +190,6 @@ def generators_from(modules: Iterable[ProtocolModule]) -> list[EventGenerator]:
     for module in modules:
         generators.extend(module.generators())
     return generators
-
-
-def ruleset_from(modules: Iterable[ProtocolModule], indexed: bool = True) -> RuleSet:
-    """Instantiate every module's rules into one indexed RuleSet."""
-    rules: list[Rule] = []
-    for module in modules:
-        rules.extend(module.rules())
-    return RuleSet(rules=rules, indexed=indexed)
 
 
 def distiller_from(modules: Iterable[ProtocolModule], **overrides) -> Distiller:

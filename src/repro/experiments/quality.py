@@ -24,23 +24,13 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.baseline.snortlike import FourXXFloodRule, SnortLikeIds, default_packet_rules
 from repro.core.alerts import Alert
 from repro.core.engine import ScidiveEngine
-from repro.core.rules_library import (
-    RULE_REGISTER_DOS,
-    RULE_RTP_MALFORMED,
-    bye_attack_rule,
-    call_hijack_rule,
-    fake_im_rule,
-    register_dos_rule,
-    rtp_malformed_rule,
-    rtp_seq_rule,
-    rtp_source_rule,
-)
-from repro.core.rules import RuleSet
+from repro.core.rules_library import RULE_REGISTER_DOS, RULE_RTP_MALFORMED
+from repro.rulespec import RulePack, shipped_pack
 from repro.sim.trace import Trace
 from repro.workload.labels import (
     ATTACK_BYE,
@@ -380,18 +370,13 @@ class SweepCurve:
         }
 
 
-def _engine_ruleset(rtp_threshold: int = 3, dos_threshold: int = 5) -> RuleSet:
-    return RuleSet(
-        rules=[
-            bye_attack_rule(),
-            call_hijack_rule(),
-            fake_im_rule(),
-            rtp_seq_rule(),
-            rtp_source_rule(),
-            rtp_malformed_rule(threshold=rtp_threshold),
-            register_dos_rule(threshold=dos_threshold),
-        ]
-    )
+def _with_threshold(pack: RulePack, rule_id: str, threshold: int) -> RulePack:
+    """``pack`` with one rule's ``threshold`` replaced."""
+    return replace(pack, rules=tuple(
+        replace(rdef, threshold=threshold)
+        if rdef.rule_id == rule_id else rdef
+        for rdef in pack.rules
+    ))
 
 
 def _sweep_engine_rule(
@@ -400,12 +385,14 @@ def _sweep_engine_rule(
     rule_id: str,
     attack_kind: str,
     thresholds: tuple[int, ...],
-    build,
 ) -> SweepCurve:
     curve = SweepCurve(system=SYSTEM_ENGINE, rule_id=rule_id, attack_kind=attack_kind)
     labels = [label for label in truth.attacks() if label.kind == attack_kind]
     for threshold in thresholds:
-        engine = ScidiveEngine(vantage_ip=None, ruleset=build(threshold))
+        engine = ScidiveEngine(
+            vantage_ip=None,
+            rulepack=_with_threshold(shipped_pack(), rule_id, threshold),
+        )
         engine.process_trace(trace)
         alerts = [a for a in engine.alerts if a.rule_id == rule_id]
         detected = 0
@@ -488,18 +475,14 @@ def threshold_sweeps(trace: Trace, truth: GroundTruth) -> list[SweepCurve]:
     global 4XX counter trades recall against benign digest churn.
     """
     curves = [
-        _sweep_engine_rule(
-            trace, truth, RULE_RTP_MALFORMED, ATTACK_RTP, (1, 2, 3, 5),
-            lambda t: _engine_ruleset(rtp_threshold=t),
-        ),
+        _sweep_engine_rule(trace, truth, RULE_RTP_MALFORMED, ATTACK_RTP, (1, 2, 3, 5)),
         _sweep_baseline_4xx(trace, truth, (1, 2, 3, 5, 8)),
     ]
     if any(label.kind == ATTACK_REGISTER_DOS for label in truth.attacks()):
         curves.insert(
             1,
             _sweep_engine_rule(
-                trace, truth, RULE_REGISTER_DOS, ATTACK_REGISTER_DOS, (2, 3, 5, 8),
-                lambda t: _engine_ruleset(dos_threshold=t),
+                trace, truth, RULE_REGISTER_DOS, ATTACK_REGISTER_DOS, (2, 3, 5, 8)
             ),
         )
     return curves

@@ -1,12 +1,10 @@
 """``repro.rulespec``: the declarative rule DSL.
 
 SCIDIVE's detection policy — which event patterns constitute an
-intrusion — used to live exclusively in Python (``rules_library.py``),
-so every new scenario meant a code change.  This package separates
-policy from mechanism the way SecSip's VeTo language does for its SIP
-inspection engine: rules ship as data (``*.rules`` pack files), and the
-engine compiles them into the same indexed :class:`~repro.core.rules.RuleSet`
-the hand-wired classes produce.
+intrusion — is data, not code.  This package separates policy from
+mechanism the way SecSip's VeTo language does for its SIP inspection
+engine: rules ship as ``*.rules`` pack files, and the engine compiles
+them into an indexed :class:`~repro.core.rules.RuleSet`.
 
 Three layers:
 
@@ -16,15 +14,21 @@ Three layers:
 * :mod:`repro.rulespec.parser` — the line-oriented pack parser and
   linter; every diagnostic is anchored to a 1-based source line.
 * :mod:`repro.rulespec.compiler` — ``compile_pack()`` lowers a pack
-  onto the existing rule classes (``SingleEventRule``/``ThresholdRule``/
+  onto the rule classes (``SingleEventRule``/``ThresholdRule``/
   ``SequenceRule``/``ConjunctionRule``), so trigger-event indexing,
-  cooldowns, LRU group caps and checkpointing all keep working
-  unchanged.
+  cooldowns, LRU group caps and checkpointing all work unchanged.
 
-The shipped paper rules live in ``rules/scidive-core.rules`` at the
-repository root; the equivalence suite proves the compiled pack raises
-the same alert multiset as the Python originals.
+The paper's rules (Table 1 plus the §3 scenarios) live in one place:
+the ``scidive-core.rules`` pack shipped as package data next to this
+module and returned by :func:`shipped_pack`.  It is the single source
+of detection policy — every engine and cluster worker built without an
+explicit ruleset or pack compiles it.  To tune a rule, edit a copy of
+the pack (or ``dataclasses.replace`` one :class:`RuleDef`) and pass it
+as ``rulepack=`` / ``--rules``, or hot-reload it.
 """
+
+import functools
+from importlib import resources
 
 from repro.rulespec.compiler import compile_pack, compile_rule
 from repro.rulespec.model import RuleDef, RulePack
@@ -50,4 +54,14 @@ __all__ = [
     "lint_text",
     "load_pack",
     "parse_pack",
+    "shipped_pack",
 ]
+
+@functools.cache
+def shipped_pack() -> RulePack:
+    """The shipped detection policy, parsed once per process.
+
+    A :class:`RulePack` is immutable, so every caller can share the
+    cached object; compiling it still gives each engine fresh rules.
+    """
+    return load_pack(str(resources.files(__name__) / "scidive-core.rules"))

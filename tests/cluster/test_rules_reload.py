@@ -9,18 +9,23 @@ worker off the old pack.
 from __future__ import annotations
 
 import collections
+import json
+import pickle
 import time
 
 import pytest
 
 from repro.cluster import ScidiveCluster
+from repro.cli import main
 from repro.cluster.cluster import ClusterError
 from repro.core.engine import ScidiveEngine
 from repro.experiments.harness import run_bye_attack, run_call_hijack
-from repro.rulespec import RuleDef, RulePack, RulePackError
+from repro.obs.server import StatusSource
+from repro.resilience.checkpoint import _MAGIC
+from repro.rulespec import RuleDef, RulePack, RulePackError, shipped_pack
 from repro.voip.testbed import CLIENT_A_IP
 
-RULES_PACK = "rules/scidive-core.rules"
+RULES_PACK = shipped_pack().source_path
 
 ATTACKS = {
     "bye-attack": (run_bye_attack, "BYE-001"),
@@ -260,3 +265,49 @@ class TestReloadSurfacing:
         assert not [a for a in result.alerts if a.rule_id == "BYE-001"]
         baseline = _single_engine_alerts(trace)
         assert any(a.rule_id == "BYE-001" for a in baseline)
+
+
+class TestDefaultPackAgreement:
+    """Without a configured pack, the router and every worker run the
+    shipped pack — and every surface that names a pack says so."""
+
+    def test_engines_and_stats_report_the_shipped_pack(self, capsys):
+        label = shipped_pack().label
+        assert ScidiveEngine().rulepack.label == label
+        assert ScidiveEngine(indexed_dispatch=False).rulepack.label == label
+        source = StatusSource()
+        source.set_engine(ScidiveEngine())
+        assert source.health()["engine"]["rulepack"]["label"] == label
+        assert main(["stats", "bye-attack", "--seed", "7", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["rulepack"]["label"] == label
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_router_and_workers_agree_on_the_shipped_pack(self, backend, tmp_path):
+        label = shipped_pack().label
+        cluster = ScidiveCluster(
+            workers=2,
+            backend=backend,
+            batch_size=16,
+            vantage_ip=CLIENT_A_IP,
+            checkpoint_every=1,
+            checkpoint_dir=str(tmp_path),
+        )
+        assert cluster.rulepack.label == label
+        for record in _attack_trace("bye-attack").records:
+            cluster.submit_frame(record.frame, record.timestamp)
+        source = StatusSource()
+        source.set_cluster(cluster)
+        assert source.health()["cluster"]["rulepack"]["label"] == label
+        result = cluster.stop()
+        if backend == "serial":
+            worker_labels = [w.engine.rulepack.label for w in cluster._workers]
+        else:
+            # Process workers are only observable through what they
+            # write: their detection-state checkpoints.
+            worker_labels = [
+                pickle.loads(path.read_bytes()[len(_MAGIC):])["rulepack"]["label"]
+                for path in sorted(tmp_path.glob("worker-*.ckpt"))
+            ]
+        assert worker_labels == [label, label]
+        assert result.alerts
+        assert {a.pack_version for a in result.alerts} == {label}

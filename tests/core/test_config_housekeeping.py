@@ -6,9 +6,22 @@ import pytest
 
 from repro.attacks import ByeAttack
 from repro.core.config import ScidiveConfig
-from repro.core.rules_library import RULE_BYE_ATTACK, RULE_RTP_SEQ
+from repro.core.engine import ScidiveEngine
+from repro.core.rules_library import RULE_BYE_ATTACK, RULE_REGISTER_DOS, RULE_RTP_SEQ
+from repro.rulespec import parse_pack, shipped_pack
 from repro.voip.scenarios import normal_call
 from repro.voip.testbed import CLIENT_A_IP, Testbed, TestbedConfig
+
+
+def _edited_pack(old: str, new: str):
+    """The shipped pack edited the way an operator tunes rules: copy the
+    text, rewrite some keys, bump the version."""
+    text = shipped_pack().source_text
+    assert text.count(old) == 1
+    text = text.replace(old, new).replace("version = 1.0.0", "version = 1.0.1")
+    pack, issues = parse_pack(text, "<edited>")
+    assert pack is not None, issues
+    return pack
 
 
 class TestScidiveConfig:
@@ -16,23 +29,26 @@ class TestScidiveConfig:
         config = ScidiveConfig()
         assert config.seq_jump_threshold == 100
         assert config.monitoring_window == 0.5
-        assert config.dos_threshold == 5
+        assert shipped_pack().rule(RULE_REGISTER_DOS).threshold == 5
 
     def test_roundtrip_dict(self):
-        config = ScidiveConfig(vantage_ip="10.0.0.10", seq_jump_threshold=250,
-                               disabled_rules=("RTP-001",))
+        config = ScidiveConfig(vantage_ip="10.0.0.10", seq_jump_threshold=250)
         again = ScidiveConfig.from_dict(config.to_dict())
         assert again == config
 
     def test_roundtrip_file(self, tmp_path):
         path = tmp_path / "scidive.json"
-        config = ScidiveConfig(dos_threshold=9)
+        config = ScidiveConfig(mobility_window=9.0)
         config.save(path)
         assert ScidiveConfig.load(path) == config
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError):
             ScidiveConfig.from_dict({"vantage_ip": None, "bogus": 1})
+        # Rule tuning moved to rule packs; the old keys are unknown now.
+        for key in ("dos_threshold", "disabled_rules"):
+            with pytest.raises(ValueError, match=key):
+                ScidiveConfig.from_dict({key: 1})
 
     def test_built_engine_detects(self):
         testbed = Testbed(TestbedConfig(seed=7))
@@ -50,8 +66,8 @@ class TestScidiveConfig:
         from repro.attacks import RtpAttack
 
         testbed = Testbed(TestbedConfig(seed=7))
-        config = ScidiveConfig(vantage_ip=CLIENT_A_IP, disabled_rules=(RULE_RTP_SEQ,))
-        engine = config.build_engine()
+        muted = _edited_pack("[rule RTP-001]\n", "[rule RTP-001]\nenabled = false\n")
+        engine = ScidiveEngine(vantage_ip=CLIENT_A_IP, rulepack=muted)
         engine.attach(testbed.ids_tap)
         attack = RtpAttack(testbed, packets=30)
         testbed.register_all()
@@ -64,9 +80,11 @@ class TestScidiveConfig:
         assert engine.alerts
 
     def test_threshold_knob_propagates(self):
-        config = ScidiveConfig(dos_threshold=2, dos_window=99.0)
-        ruleset = config.build_ruleset()
-        rule = next(r for r in ruleset.rules if r.rule_id == "DOS-001")
+        pack = _edited_pack(
+            "threshold = 5\nwindow = 10.0\n", "threshold = 2\nwindow = 99.0\n"
+        )
+        engine = ScidiveEngine(rulepack=pack)
+        rule = next(r for r in engine.ruleset.rules if r.rule_id == RULE_REGISTER_DOS)
         assert rule.threshold == 2
         assert rule.window == 99.0
 

@@ -1,12 +1,13 @@
 """Protocol modules, dispatch tables and the rule index.
 
-A :class:`ProtocolModule` bundles one protocol's decoder, generators and
-rules; the engine builds per-protocol generator dispatch tables from the
-generators' declared ``protocols`` and the RuleSet builds a
-trigger-event → rules index from each rule's ``trigger_events``.  These
-tests pin down the stock module set, the flattened views over it, both
-indexes' semantics (including invalidation), and that a brand-new
-protocol registers end-to-end without touching engine code.
+A :class:`ProtocolModule` bundles one protocol's decoder and generators;
+its rules come from a rule pack.  The engine builds per-protocol
+generator dispatch tables from the generators' declared ``protocols``
+and the RuleSet builds a trigger-event → rules index from each rule's
+``trigger_events``.  These tests pin down the stock module set, the
+flattened views over it, both indexes' semantics (including
+invalidation), and that a brand-new protocol registers end-to-end —
+module plus pack — without touching engine code.
 """
 
 from __future__ import annotations
@@ -22,13 +23,12 @@ from repro.core.protocols import (
     default_modules,
     distiller_from,
     generators_from,
-    ruleset_from,
 )
 from repro.core.rules import RuleSet, SingleEventRule
-from repro.core.rules_library import paper_ruleset
 from repro.core.trail import TrailManager
 from repro.net.addr import IPv4Address, MacAddress
 from repro.net.packet import build_udp_frame
+from repro.rulespec import RulePack, compile_pack, parse_pack, shipped_pack
 
 SRC_MAC = MacAddress("02:00:00:00:00:01")
 DST_MAC = MacAddress("02:00:00:00:00:02")
@@ -62,11 +62,13 @@ class TestDefaultModules:
         assert all(g.protocols is not None for g in flat), \
             "stock generators must declare their protocols"
 
-    def test_ruleset_from_matches_paper_ruleset(self):
-        built = ruleset_from(default_modules())
-        paper = paper_ruleset()
-        assert [r.rule_id for r in built.rules] == [r.rule_id for r in paper.rules]
-        assert all(r.trigger_events for r in built.rules), \
+    def test_default_ruleset_is_the_shipped_pack(self):
+        engine = ScidiveEngine(modules=default_modules())
+        assert engine.rulepack is shipped_pack()
+        assert [r.rule_id for r in engine.ruleset.rules] == [
+            rdef.rule_id for rdef in shipped_pack().rules
+        ]
+        assert all(r.trigger_events for r in engine.ruleset.rules), \
             "stock rules must declare their trigger events"
 
     def test_distiller_from_restores_stock_chain(self):
@@ -130,14 +132,14 @@ class TestGeneratorDispatchTables:
 
 class TestRuleIndex:
     def test_candidates_preserve_ruleset_order(self):
-        ruleset = paper_ruleset()
+        ruleset = compile_pack(shipped_pack())
         order = {r.rule_id: i for i, r in enumerate(ruleset.rules)}
         for name in ("OrphanRtpAfterBye", "RtpSourceMismatch", "AccountingMismatch"):
             positions = [order[r.rule_id] for r in ruleset.candidates_for(name)]
             assert positions == sorted(positions)
 
     def test_unknown_event_gets_only_wildcards(self):
-        ruleset = paper_ruleset()
+        ruleset = compile_pack(shipped_pack())
         assert ruleset.candidates_for("NoSuchEvent") == ()
         wildcard = SingleEventRule("W", "w", "X")
         wildcard.trigger_events = None
@@ -213,8 +215,26 @@ def _toy_module() -> ProtocolModule:
         decoder=_toy_decoder,
         decode_priority=5,  # before SIP: "TOY" is not valid SIP anyway
         generators=lambda: [_ToyGenerator()],
-        rules=lambda: [SingleEventRule("TOY-001", "toy ping", "ToyPing")],
         description="end-to-end registration exercise",
+    )
+
+
+def _toy_pack() -> RulePack:
+    """The shipped pack plus TOY-001, which fires on the toy module's
+    ``ToyPing`` — an event the pack must whitelist in ``extra_events``."""
+    shipped = shipped_pack()
+    head = f"version = {shipped.version}\n"
+    text = shipped.describe().replace(
+        head, head + "extra_events = ToyPing\n", 1
+    ) + "\n[rule TOY-001]\ntype = single\nname = toy ping\nevent = ToyPing\n"
+    pack, issues = parse_pack(text, "<toy>")
+    assert pack is not None, issues
+    return pack
+
+
+def _toy_engine() -> ScidiveEngine:
+    return ScidiveEngine(
+        modules=default_modules() + [_toy_module()], rulepack=_toy_pack()
     )
 
 
@@ -224,7 +244,7 @@ def _toy_frame(payload: bytes) -> bytes:
 
 class TestToyProtocolEndToEnd:
     def test_frame_to_alert_through_registered_module(self):
-        engine = ScidiveEngine(modules=default_modules() + [_toy_module()])
+        engine = _toy_engine()
         alerts = engine.process_frame(_toy_frame(b"TOY hello"), 1.0)
         assert [a.rule_id for a in alerts] == ["TOY-001"]
         assert engine.stats.footprints == 1
@@ -232,14 +252,14 @@ class TestToyProtocolEndToEnd:
         assert [g.name for g in engine.generators_for(Protocol.OTHER)] == ["toy"]
 
     def test_claimed_payload_consumed_without_footprint(self):
-        engine = ScidiveEngine(modules=default_modules() + [_toy_module()])
+        engine = _toy_engine()
         assert engine.process_frame(_toy_frame(b"TOY IGNORE"), 1.0) == []
         assert engine.stats.footprints == 0
         assert engine.distiller.stats.ignored == 1
 
     def test_stock_protocols_unaffected_by_extra_module(self):
         stock = ScidiveEngine()
-        extended = ScidiveEngine(modules=default_modules() + [_toy_module()])
+        extended = _toy_engine()
         assert ([g.name for g in extended.generators_for(Protocol.SIP)]
                 == [g.name for g in stock.generators_for(Protocol.SIP)])
         assert ([r.rule_id for r in extended.ruleset.rules][:-1]

@@ -1,20 +1,24 @@
-"""Compiled-pack equivalence: the shipped DSL pack vs the Python classes.
+"""The shipped pack is the detection policy: pinned against a golden.
 
-The contract for ``rules/scidive-core.rules`` is not "roughly as good"
-— it is alert-for-alert indistinguishable from the hand-wired rule
-library on every scenario the harness can produce, benign traffic
-included.  Alert equality excludes the provenance fields
-(``pack_version``/``rule_source``), which is exactly what lets the
-multisets compare across the two rulesets.
+``tests/rulespec/golden/default-alerts.json`` holds the alerts the
+paper's rules raised on the ten harness scenarios (seed 7), replayed
+at each scenario's own vantage.  It was captured from the Python rule
+library the pack replaced, so it is an independent reference: the
+default engine, the broadcast-dispatch oracle and a 2-worker cluster on
+every backend must all raise exactly those alerts.  Alert identity
+excludes the provenance fields (``pack_version``/``rule_source``).
 """
 
 from __future__ import annotations
 
 import collections
+import json
 from pathlib import Path
 
 import pytest
 
+from repro.cluster import ScidiveCluster
+from repro.core import rules_library
 from repro.core.engine import ScidiveEngine
 from repro.experiments.harness import (
     run_benign,
@@ -28,10 +32,14 @@ from repro.experiments.harness import (
     run_rtp_attack,
     run_ssrc_spoof,
 )
-from repro.rulespec import compile_pack, load_pack, parse_pack
+from repro.rulespec import compile_pack, parse_pack, shipped_pack
 from repro.voip.testbed import CLIENT_A_IP
 
-SHIPPED = Path(__file__).resolve().parents[2] / "rules" / "scidive-core.rules"
+GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "default-alerts.json").read_text(
+        encoding="utf-8"
+    )
+)
 
 SCENARIOS = {
     "benign": run_benign,
@@ -56,6 +64,17 @@ def _scenario_trace(name: str):
     return _TRACES[name]
 
 
+def _signature(alert) -> list:
+    return [alert.rule_id, alert.rule_name, alert.time, alert.session,
+            alert.severity.name, alert.attack_class, alert.message]
+
+
+def _engine_signatures(name: str, **engine_kwargs) -> list[list]:
+    engine = ScidiveEngine(vantage_ip=GOLDEN[name]["vantage_ip"], **engine_kwargs)
+    engine.process_trace(_scenario_trace(name))
+    return [_signature(a) for a in engine.alerts]
+
+
 def _alerts(trace, rulepack=None) -> collections.Counter:
     engine = ScidiveEngine(vantage_ip=CLIENT_A_IP, rulepack=rulepack)
     engine.process_trace(trace)
@@ -64,20 +83,36 @@ def _alerts(trace, rulepack=None) -> collections.Counter:
 
 @pytest.fixture(scope="module")
 def pack():
-    return load_pack(str(SHIPPED))
+    return shipped_pack()
 
 
 class TestScenarioEquivalence:
+    def test_golden_covers_every_scenario(self):
+        assert sorted(GOLDEN) == sorted(SCENARIOS)
+        assert sum(len(entry["alerts"]) for entry in GOLDEN.values()) == 19
+
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_pack_matches_rule_classes(self, name, pack):
-        trace = _scenario_trace(name)
-        assert _alerts(trace, rulepack=pack) == _alerts(trace)
+    def test_pack_matches_rule_classes(self, name):
+        # Same alerts in the same order, under indexed and broadcast
+        # dispatch alike.
+        expected = GOLDEN[name]["alerts"]
+        assert _engine_signatures(name) == expected
+        assert _engine_signatures(name, indexed_dispatch=False) == expected
+
+    @pytest.mark.parametrize("backend", ["serial", "threads", "process"])
+    def test_two_worker_cluster_matches_golden(self, backend):
+        for name, entry in sorted(GOLDEN.items()):
+            result = ScidiveCluster(
+                workers=2, backend=backend, vantage_ip=entry["vantage_ip"]
+            ).process_trace(_scenario_trace(name))
+            got = collections.Counter(tuple(_signature(a)) for a in result.alerts)
+            assert got == collections.Counter(map(tuple, entry["alerts"])), name
 
     def test_benign_traffic_stays_silent(self, pack):
         assert not _alerts(_scenario_trace("benign"), rulepack=pack)
 
     def test_dsl_alerts_carry_provenance(self, pack):
-        engine = ScidiveEngine(vantage_ip=CLIENT_A_IP, rulepack=pack)
+        engine = ScidiveEngine(vantage_ip=CLIENT_A_IP)
         engine.process_trace(_scenario_trace("bye-attack"))
         assert engine.alerts
         for alert in engine.alerts:
@@ -89,15 +124,20 @@ class TestScenarioEquivalence:
 
 
 class TestCompileShape:
-    def test_same_rule_ids_as_hand_wired(self, pack):
-        compiled = compile_pack(pack)
-        hand_wired = ScidiveEngine(vantage_ip=CLIENT_A_IP).ruleset
-        assert {r.rule_id for r in compiled.rules} == {
-            r.rule_id for r in hand_wired.rules
+    def test_same_rule_ids_as_rule_constants(self, pack):
+        # The RULE_* ids the code base imports name exactly the pack's
+        # rules, and compiling keeps the pack's order.
+        constants = {
+            value for key, value in vars(rules_library).items()
+            if key.startswith("RULE_")
         }
+        assert [r.rule_id for r in compile_pack(pack).rules] == [
+            rdef.rule_id for rdef in pack.rules
+        ]
+        assert {rdef.rule_id for rdef in pack.rules} == constants
 
     def test_compiled_ruleset_is_indexed(self, pack):
-        engine = ScidiveEngine(vantage_ip=CLIENT_A_IP, rulepack=pack)
+        engine = ScidiveEngine(vantage_ip=CLIENT_A_IP)
         engine.process_trace(_scenario_trace("rtp-attack"))
         # The compiled pack must land in the indexed dispatch path, not
         # silently fall back to broadcast.
@@ -107,7 +147,7 @@ class TestCompileShape:
         engine = ScidiveEngine(vantage_ip=CLIENT_A_IP, rulepack=pack)
         for row in engine.ruleset.rule_stats():
             assert row["pack_version"] == pack.label
-            assert str(row["source_location"]).startswith(str(SHIPPED))
+            assert str(row["source_location"]).startswith(pack.source_path)
 
     def test_recompiling_canonical_form_is_identical(self, pack):
         reparsed, _ = parse_pack(pack.describe(), "<describe>")

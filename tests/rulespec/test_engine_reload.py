@@ -16,10 +16,17 @@ import pytest
 from repro.core.engine import ScidiveEngine
 from repro.experiments.harness import run_bye_attack, run_call_hijack
 from repro.resilience.checkpoint import RulePackMismatch
-from repro.rulespec import RulePackError, load_pack, parse_pack
+from repro.core.rules import RuleSet
+from repro.rulespec import (
+    RulePackError,
+    compile_rule,
+    load_pack,
+    parse_pack,
+    shipped_pack,
+)
 from repro.voip.testbed import CLIENT_A_IP
 
-SHIPPED = Path(__file__).resolve().parents[2] / "rules" / "scidive-core.rules"
+SHIPPED = Path(shipped_pack().source_path)
 
 _TRACES: dict[str, object] = {}
 
@@ -33,6 +40,12 @@ def _attack_trace(name: str):
 
 def _engine() -> ScidiveEngine:
     return ScidiveEngine(vantage_ip=CLIENT_A_IP, rulepack=str(SHIPPED))
+
+
+def _class_built_engine() -> ScidiveEngine:
+    """The shipped rules built without a pack: no pack identity."""
+    rules = [compile_rule(rdef) for rdef in shipped_pack().rules]
+    return ScidiveEngine(vantage_ip=CLIENT_A_IP, ruleset=RuleSet(rules))
 
 
 def _bumped_pack():
@@ -132,7 +145,7 @@ class TestCheckpointGate:
         # packless snapshot must not slide into a compiled-pack engine,
         # nor a pack snapshot into a packless engine.
         trace = _attack_trace("bye-attack")
-        packless = ScidiveEngine(vantage_ip=CLIENT_A_IP)
+        packless = _class_built_engine()
         packless.process_trace(trace)
         packless_blob = packless.checkpoint()
         with pytest.raises(RulePackMismatch):
@@ -141,10 +154,10 @@ class TestCheckpointGate:
         donor = _engine()
         donor.process_trace(trace)
         with pytest.raises(RulePackMismatch):
-            ScidiveEngine(vantage_ip=CLIENT_A_IP).restore(donor.checkpoint())
+            _class_built_engine().restore(donor.checkpoint())
 
         # Same identity on both sides (None == None) still restores.
-        heir = ScidiveEngine(vantage_ip=CLIENT_A_IP)
+        heir = _class_built_engine()
         heir.restore(packless_blob)
         assert collections.Counter(heir.alerts) == collections.Counter(
             packless.alerts

@@ -15,10 +15,10 @@ import pytest
 
 from repro.core.engine import ScidiveEngine
 from repro.experiments.harness import run_bye_attack, run_rtp_attack
-from repro.rulespec import load_pack
+from repro.rulespec import load_pack, shipped_pack
 from repro.voip.testbed import CLIENT_A_IP
 
-SHIPPED = Path(__file__).resolve().parents[2] / "rules" / "scidive-core.rules"
+SHIPPED = Path(shipped_pack().source_path)
 
 ATTACKS = {
     "bye-attack": (run_bye_attack, "BYE-001"),

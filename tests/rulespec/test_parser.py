@@ -19,10 +19,11 @@ from repro.rulespec import (
     lint_text,
     load_pack,
     parse_pack,
+    shipped_pack,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
-SHIPPED = Path(__file__).resolve().parents[2] / "rules" / "scidive-core.rules"
+SHIPPED = Path(shipped_pack().source_path)
 
 
 def _expected_errors(rules_path: Path) -> set[tuple[int, str]]:
