@@ -7,9 +7,9 @@ replays the same mixed workload through four engine configurations:
 * **off** — no observability (the default; identical code path to the
   seed engine behind one ``is None`` check);
 * **metrics** — counters + per-stage histograms only (summaries, rule
-  cost sampling and the latency-budget detector disabled);
+  cost sampling and the overload controller disabled);
 * **metrics full** — metrics plus the streaming quantile summaries,
-  sampled per-rule cost accounting and the latency-budget detector;
+  sampled per-rule cost accounting and the overload controller;
 * **metrics+trace** — everything, including per-frame span records.
 
 and prints the frames/s and relative overhead for each.  Wall-clock
@@ -57,32 +57,35 @@ def workload():
     return capture_workload(WorkloadSpec(calls=4, ims=4, churn_rounds=3, seed=51))
 
 
-def make_metrics_base() -> Observability:
-    """Counters + histograms only: the pre-summary instrumentation."""
+def make_metrics_base() -> dict:
+    """Engine kwargs for counters + histograms only: the pre-summary
+    instrumentation."""
     ctx = Observability.create(trace=False)
     ctx.summaries = False
     ctx.cost_sample_rate = 0
-    ctx.frame_budget = 0.0
-    return ctx
+    return {"observability": ctx, "overload": False}
 
 
-def make_metrics_full() -> Observability:
-    """Summaries + cost sampling + latency budget, at their defaults."""
-    return Observability.create(trace=False)
+def make_metrics_full() -> dict:
+    """Engine kwargs for summaries + cost sampling + the overload
+    controller, at their defaults."""
+    return {"observability": Observability.create(trace=False)}
 
 
-def _replay(workload, observability=None):
-    engine = ScidiveEngine(vantage_ip=CLIENT_A_IP, observability=observability)
+def _replay(workload, **engine_kwargs):
+    engine = ScidiveEngine(vantage_ip=CLIENT_A_IP, **engine_kwargs)
     engine.process_trace(workload)
     return engine
 
 
-def _time_replay(workload, make_obs, repeats: int = 3) -> tuple[float, ScidiveEngine]:
+def _time_replay(
+    workload, make_kwargs, repeats: int = 3
+) -> tuple[float, ScidiveEngine]:
     """Best-of-N engine-internal cpu_seconds for one configuration."""
     best = float("inf")
     engine = None
     for _ in range(repeats):
-        candidate = _replay(workload, make_obs())
+        candidate = _replay(workload, **make_kwargs())
         if candidate.stats.cpu_seconds < best:
             best = candidate.stats.cpu_seconds
             engine = candidate
@@ -90,12 +93,12 @@ def _time_replay(workload, make_obs, repeats: int = 3) -> tuple[float, ScidiveEn
 
 
 def test_overhead_matrix(workload, emit):
-    base_s, base_engine = _time_replay(workload, lambda: None)
+    base_s, base_engine = _time_replay(workload, dict)
     metrics_s, metrics_engine = _time_replay(
-        workload, lambda: Observability.create(trace=False)
+        workload, lambda: {"observability": Observability.create(trace=False)}
     )
     trace_s, trace_engine = _time_replay(
-        workload, lambda: Observability.create(trace=True)
+        workload, lambda: {"observability": Observability.create(trace=True)}
     )
     frames = len(workload)
 
@@ -141,7 +144,7 @@ def test_overhead_matrix(workload, emit):
 
 
 def test_summary_cost_overhead(workload, emit):
-    """Summaries + cost sampling + latency budget vs plain metrics."""
+    """Summaries + cost sampling + overload controller vs plain metrics."""
     base_s, base_engine = _time_replay(workload, make_metrics_base)
     full_s, full_engine = _time_replay(workload, make_metrics_full)
     frames = len(workload)
@@ -167,7 +170,7 @@ def test_summary_cost_overhead(workload, emit):
     from repro.experiments.harness import run_bye_attack
 
     attack_trace = run_bye_attack(seed=7).testbed.ids_tap.trace
-    ctx = make_metrics_full()
+    ctx = make_metrics_full()["observability"]
     ctx.cost_sample_rate = 2
     attack_engine = ScidiveEngine(vantage_ip=CLIENT_A_IP, observability=ctx)
     attack_engine.process_trace(attack_trace)
@@ -177,8 +180,8 @@ def test_summary_cost_overhead(workload, emit):
     # ...and the base configuration carries none of it.
     base_text = base_engine.metrics_registry().render_prometheus()
     assert "scidive_frame_latency_seconds" not in base_text
-    assert full_engine.latency_budget is not None
-    assert base_engine.latency_budget is None
+    assert full_engine.overload is not None
+    assert base_engine.overload is None
 
     # Target is <=5% (enforced by the standalone gate with interleaved
     # timing); asserted loose here so a noisy CI box cannot flake.
@@ -196,7 +199,7 @@ def test_disabled_engine_throughput(benchmark, workload, emit):
 
 def test_instrumented_engine_throughput(benchmark, workload, emit):
     engine = benchmark(
-        lambda: _replay(workload, Observability.create(trace=True))
+        lambda: _replay(workload, observability=Observability.create(trace=True))
     )
     rate = engine.stats.frames / engine.stats.cpu_seconds
     emit(f"metrics + trace: {rate:,.0f} frames/s (engine-internal)")
@@ -225,7 +228,7 @@ def test_span_recording_cost(emit):
 # -- standalone regression gate -----------------------------------------------
 
 CONFIGS = {
-    "off": lambda: None,
+    "off": dict,
     "base": make_metrics_base,
     "full": make_metrics_full,
 }
@@ -235,8 +238,8 @@ def _signature(engine: ScidiveEngine):
     return [(a.rule_id, a.time, a.session, a.message) for a in engine.alerts]
 
 
-def _timed_replay(trace, observability) -> tuple[float, ScidiveEngine]:
-    engine = ScidiveEngine(vantage_ip=CLIENT_A_IP, observability=observability)
+def _timed_replay(trace, engine_kwargs) -> tuple[float, ScidiveEngine]:
+    engine = ScidiveEngine(vantage_ip=CLIENT_A_IP, **engine_kwargs)
     gc.collect()
     gc.disable()
     try:
@@ -302,10 +305,8 @@ def _attack_equivalence(seed: int) -> dict:
     for name, (runner, rule_id) in attacks.items():
         trace = runner(seed=seed).testbed.ids_tap.trace
         signatures = {}
-        for mode, make_obs in CONFIGS.items():
-            engine = ScidiveEngine(
-                vantage_ip=CLIENT_A_IP, observability=make_obs()
-            )
+        for mode, make_kwargs in CONFIGS.items():
+            engine = ScidiveEngine(vantage_ip=CLIENT_A_IP, **make_kwargs())
             engine.process_trace(trace)
             signatures[mode] = _signature(engine)
         detected = any(sig[0] == rule_id for sig in signatures["full"])
@@ -371,7 +372,7 @@ def _paired_cpu_ratio(run_baseline, run_measured, repeats: int) -> dict:
     }
 
 
-def _timed_engine_cpu(trace, make_obs):
+def _timed_engine_cpu(trace, make_kwargs):
     """One single-engine replay, thread-CPU timed (gc parked).
 
     ``thread_time`` rather than the engine's own wall-clock
@@ -379,7 +380,7 @@ def _timed_engine_cpu(trace, make_obs):
     engine for time it spent descheduled, which is exactly the noise
     the paired estimator is trying to exclude.
     """
-    engine = ScidiveEngine(vantage_ip=CLIENT_A_IP, observability=make_obs())
+    engine = ScidiveEngine(vantage_ip=CLIENT_A_IP, **make_kwargs())
     gc.collect()
     gc.disable()
     try:

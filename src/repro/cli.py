@@ -690,37 +690,26 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             return 0
         want_obs = bool(args.metrics_out or args.trace_out or server)
         ctx = obs.Observability.create(trace=bool(args.trace_out)) if want_obs else None
+        # --overload forces the controller on (dark replays included);
+        # without it the engine default applies (on when instrumented).
         engine = ScidiveEngine(vantage_ip=args.vantage, observability=ctx,
                                indexed_dispatch=not args.broadcast,
-                               rulepack=args.rules)
-        overload = None
-        if getattr(args, "overload", False):
-            from repro.resilience import EngineOverload
-
-            overload = EngineOverload(engine)
-            # /healthz reads engine.overload; the attribute only exists
-            # on instrumented replays.
-            engine.overload = overload
+                               rulepack=args.rules,
+                               overload=args.overload or None)
         if server is not None:
             # Bind before the replay so /healthz and /metrics answer mid-run.
             if ctx is not None:
                 server.source.set_registry(ctx.registry)
             server.source.set_engine(engine)
         with _maybe_profile(args, "engine"):
-            if overload is not None:
-                for record in trace:
-                    engine.process_frame(record.frame, record.timestamp)
-                    overload.record_frame(record.timestamp)
-                engine.snapshot_gauges()
-            else:
-                engine.process_trace(trace)
+            engine.process_trace(trace)
         mode = "broadcast" if args.broadcast else "indexed"
         mode += f" dispatch, pack {engine.rulepack.label}"
         print(f"replayed {len(trace)} frames ({mode}): "
               f"{engine.stats.footprints} footprints, "
               f"{engine.stats.events} events, {len(engine.alerts)} alerts")
-        if overload is not None:
-            status = overload.as_dict()
+        if args.overload:
+            status = engine.overload.as_dict()
             print(f"overload: state={status['state']} "
                   f"transitions={status['transitions_total'] or '{}'} "
                   f"burn={status['burn_rate']:.2f}x")

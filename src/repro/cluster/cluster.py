@@ -57,6 +57,17 @@ processing of broadcast signalling gives it the session state to keep
 detecting), and ``ClusterError`` is reserved for the moment every
 worker is gone.
 
+Overload control: with ``overload_enabled`` the router owns the
+cluster's one :class:`~repro.resilience.overload.OverloadController`
+(worker engines run without one, whatever the engine factory built).
+It ticks every
+``tick_frames`` routed frames on the worst queue fill, the tick's shed
+rate and — on the serial backend, where engines run in-process — the
+worst worker's frame-budget burn since the last tick, read from that
+engine's own frame/CPU counters.  Degraded states suppress new trace
+sampling at the router and, on the serial backend, apply the shared
+:func:`~repro.resilience.overload.apply_degradation` to every engine.
+
 Rule-pack hot reload: :meth:`ScidiveCluster.reload_rulepack` swaps every
 worker onto a new compiled rule pack mid-stream via a two-phase epoch
 barrier on the control path (prepare → all-ready → commit → all-done).
@@ -94,6 +105,8 @@ from repro.resilience.overload import (
     OverloadConfig,
     OverloadController,
     SourceAccountant,
+    StatsBurn,
+    apply_degradation,
     format_source,
     shed_plan,
 )
@@ -289,6 +302,14 @@ def _gate_tracer(engine, config: ClusterConfig) -> Tracer | None:
     return tracer
 
 
+def _worker_engine(factory, worker_id: int, config: ClusterConfig) -> ScidiveEngine:
+    """``factory``'s engine without an overload controller, whatever the
+    factory built: the router's is the cluster's only one."""
+    engine = factory(worker_id, config)
+    engine.overload = None
+    return engine
+
+
 def _engine_report(
     worker_id: int,
     engine: ScidiveEngine,
@@ -351,7 +372,7 @@ def _worker_main(worker_id, config, factory, in_q, out_q, hard_crash) -> None:
     batches that survived in the bounded queue resume against the state
     they were routed for.
     """
-    engine = factory(worker_id, config)
+    engine = _worker_engine(factory, worker_id, config)
     tracer = _gate_tracer(engine, config)
     profiler = None
     if config.profile_dir:
@@ -596,7 +617,7 @@ class _SerialWorker:
         self.worker_id = worker_id
         self.restarts = 0
         self.dead = False  # serial workers cannot die; kept for symmetry
-        self.engine = factory(worker_id, config)
+        self.engine = _worker_engine(factory, worker_id, config)
         self._tracer = _gate_tracer(self.engine, config)
         self.batches = self.owned = self.shadowed = 0
         self.cpu_seconds = 0.0
@@ -867,9 +888,11 @@ class ScidiveCluster:
                 config=ocfg, name="cluster", emit_alert=self.self_alerts.append
             )
             self.accountant = SourceAccountant(ocfg)
-        # Serial-backend brownout: saved (cost_sample_rate, summary_sample)
-        # per inline engine, restored when the controller heals to normal.
-        self._degraded_knobs: list[tuple] | None = None
+        # Serial-backend brownout: saved (cost_sample_rate, summary_every)
+        # per inline engine, restored when the controller heals to normal;
+        # and each inline engine's counters at the last tick (burn input).
+        self._degraded_knobs: list[tuple | None] | None = None
+        self._worker_burn: list[StatsBurn] | None = None
         # frames_dropped high-water at the last controller tick, so each
         # tick sees only its own window's shed rate.
         self._tick_dropped = 0
@@ -1233,7 +1256,7 @@ class ScidiveCluster:
 
     def _overload_tick(self, timestamp: float) -> None:
         """One controller observation: worst queue fill across workers,
-        the budget burn rate where the engines are in-process, and the
+        the frame-budget burn rate where the engines are in-process, and the
         tick window's shed rate (drops while shedding works must still
         read as pressure — the penalty box keeps the queues empty)."""
         dropped = self.cluster_stats.frames_dropped
@@ -1265,55 +1288,27 @@ class ScidiveCluster:
         return min(1.0, worst / depth)
 
     def _inline_burn_rate(self) -> float:
-        """Latency-budget burn where it is observable: the serial backend
-        runs engines in-process; queued backends drive on fill alone."""
+        """Worst per-worker burn since the last tick where it is
+        observable: the serial backend runs engines in-process; queued
+        backends drive on fill alone."""
         if self.config.backend != "serial":
             return 0.0
-        worst = 0.0
-        for worker in self._workers:
-            budget = getattr(worker.engine, "latency_budget", None)
-            if budget is not None and budget.burn_rate > worst:
-                worst = budget.burn_rate
-        return worst
+        if self._worker_burn is None:
+            self._worker_burn = [StatsBurn(w.engine) for w in self._workers]
+        return max(burn.sample() for burn in self._worker_burn)
 
     def _apply_degradation(self) -> None:
-        """Brownout policy for in-process engines: floor the per-frame
-        optional work (rule cost sampling off, summary sketches widened)
-        while degraded, heal the saved rates on the return to normal.
-        Queued backends get the router-side half only (trace sampling
-        suppression in :meth:`_trace_id`)."""
+        """Brownout for in-process engines (:func:`apply_degradation`
+        per serial worker).  Queued backends get the router-side half
+        only (trace sampling suppression in :meth:`_trace_id`)."""
         if self.config.backend != "serial":
             return
         degraded = self.overload.degraded
-        if degraded and self._degraded_knobs is None:
-            saved = []
-            for worker in self._workers:
-                engine = worker.engine
-                ruleset = getattr(engine, "ruleset", None)
-                instr = getattr(engine, "_instr", None)
-                saved.append(
-                    (
-                        ruleset.cost_sample_rate if ruleset is not None else 0,
-                        instr.summary_sample if instr is not None else 1,
-                    )
-                )
-                if ruleset is not None:
-                    ruleset.cost_sample_rate = 0
-                if instr is not None:
-                    instr.summary_sample = max(instr.summary_sample, 64)
-            self._degraded_knobs = saved
-        elif not degraded and self._degraded_knobs is not None:
-            for worker, (cost_rate, summary) in zip(
-                self._workers, self._degraded_knobs
-            ):
-                engine = worker.engine
-                ruleset = getattr(engine, "ruleset", None)
-                instr = getattr(engine, "_instr", None)
-                if ruleset is not None:
-                    ruleset.cost_sample_rate = cost_rate
-                if instr is not None:
-                    instr.summary_sample = summary
-            self._degraded_knobs = None
+        knobs = self._degraded_knobs or [None] * len(self._workers)
+        self._degraded_knobs = [
+            apply_degradation(worker.engine, degraded, saved)
+            for worker, saved in zip(self._workers, knobs)
+        ]
 
     def overload_status(self) -> dict | None:
         """The /healthz and ``repro stats`` view (None = plane disabled)."""

@@ -21,17 +21,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.core.engine import ScidiveEngine
-from repro.core.event_generators import (
-    AccountingGenerator,
-    AuthEventGenerator,
-    DialogEventGenerator,
-    ImSourceGenerator,
-    MalformedSipGenerator,
-    OrphanRtpGenerator,
-    RtpStreamGenerator,
-)
-from repro.core.h323_generators import H323OrphanGenerator
-from repro.core.rtcp_generators import RtcpByeGenerator, SsrcTrackGenerator
+from repro.core.event_generators import default_generators
 
 
 @dataclass(slots=True)
@@ -54,28 +44,16 @@ class ScidiveConfig:
 
     # -- construction -----------------------------------------------------
 
-    def build_generators(self) -> list:
-        return [
-            DialogEventGenerator(),
-            OrphanRtpGenerator(monitoring_window=self.monitoring_window),
-            RtpStreamGenerator(seq_jump_threshold=self.seq_jump_threshold),
-            ImSourceGenerator(
-                mobility_window=self.mobility_window,
-                reregistration_window=self.reregistration_window,
-            ),
-            AuthEventGenerator(),
-            MalformedSipGenerator(),
-            AccountingGenerator(),
-            RtcpByeGenerator(monitoring_window=self.monitoring_window),
-            SsrcTrackGenerator(),
-            H323OrphanGenerator(monitoring_window=self.monitoring_window),
-        ]
-
     def build_engine(self) -> ScidiveEngine:
         return ScidiveEngine(
             vantage_ip=self.vantage_ip,
             vantage_mac=self.vantage_mac,
-            generators=self.build_generators(),
+            generators=default_generators(
+                monitoring_window=self.monitoring_window,
+                seq_jump_threshold=self.seq_jump_threshold,
+                mobility_window=self.mobility_window,
+                reregistration_window=self.reregistration_window,
+            ),
             name=self.name,
         )
 

@@ -44,6 +44,7 @@ from repro.net.capture import Sniffer
 from repro.obs.forensics import ForensicsRecorder
 from repro.obs.logsetup import get_logger
 from repro.resilience.firewall import StageFirewall
+from repro.resilience.overload import EngineOverload, OverloadConfig
 from repro.sim.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -134,7 +135,7 @@ class ScidiveEngine:
         forensics: "ForensicsRecorder | bool | None" = None,
         firewall: "StageFirewall | bool | None" = None,
         cost_sample_rate: int | None = None,
-        frame_budget: float | None = None,
+        overload: OverloadConfig | bool | None = None,
         rulepack: "object | str | None" = None,
     ) -> None:
         self.name = name
@@ -272,23 +273,18 @@ class ScidiveEngine:
                 else 0
             )
         self.ruleset.cost_sample_rate = cost_sample_rate
-        # -- latency budget ---------------------------------------------------
+        # -- overload control -------------------------------------------------
         # Default-on for instrumented engines (overload must be visible
-        # wherever metrics are); dark engines opt in via frame_budget.
-        if frame_budget is None and self.observability is not None:
-            frame_budget = self.observability.frame_budget
-        if frame_budget is None and self._instr is not None:
-            frame_budget = _obs.DEFAULT_FRAME_BUDGET
-        if frame_budget:
-            self.latency_budget: "_obs.LatencyBudgetDetector | None" = (
-                _obs.LatencyBudgetDetector(
-                    budget=frame_budget,
-                    engine_name=name,
-                    emit_alert=self._emit_self_alert,
-                )
-            )
+        # wherever metrics are; False disables); dark engines opt in
+        # with True or an OverloadConfig.
+        if overload is None:
+            overload = self._instr is not None
+        if overload is False:
+            self.overload: EngineOverload | None = None
         else:
-            self.latency_budget = None
+            self.overload = EngineOverload(
+                self, None if overload is True else overload
+            )
 
     @property
     def metrics_enabled(self) -> bool:
@@ -354,9 +350,9 @@ class ScidiveEngine:
         self.stats.cpu_seconds += elapsed
         if hook is not None:
             hook.frame_done(elapsed, self.stats.frames, timestamp)
-        budget = self.latency_budget
-        if budget is not None:
-            budget.record(elapsed, timestamp)
+        overload = self.overload
+        if overload is not None:
+            overload.record_frame(timestamp)
         return alerts
 
     def process_frame_shadow(self, frame: bytes, timestamp: float) -> None:
@@ -370,17 +366,20 @@ class ScidiveEngine:
         entry point swaps the alert/event/stats sinks (and the
         instrumentation hook) for shadow scratch structures around a
         normal :meth:`process_frame` call and discards what they caught.
+        The overload controller is parked too: it ticks on owned frames
+        only, so it never samples the swapped-in shadow counters.
         All protocol/rule state advances exactly as for an owned frame.
         """
         stats, alert_log, event_log = self.stats, self.alert_log, self.event_log
         alert_subs, event_subs = self.alert_subscribers, self.event_subscribers
-        hook = self._hook
+        hook, overload = self._hook, self.overload
         self.stats = self.shadow_stats
         self.alert_log = self._shadow_alert_log
         self.event_log = self._shadow_event_log
         self.alert_subscribers = []
         self.event_subscribers = []
         self._hook = None
+        self.overload = None
         try:
             self.process_frame(frame, timestamp)
         finally:
@@ -390,6 +389,7 @@ class ScidiveEngine:
             self.alert_subscribers = alert_subs
             self.event_subscribers = event_subs
             self._hook = hook
+            self.overload = overload
             self._shadow_alert_log.clear()
             self._shadow_event_log.clear()
 

@@ -721,6 +721,7 @@ def default_generators(
     monitoring_window: float = 0.5,
     seq_jump_threshold: int = 100,
     mobility_window: float = 60.0,
+    reregistration_window: float = 120.0,
 ) -> list[EventGenerator]:
     """The standard generator set: every default protocol module's
     generators, flattened in module order."""
@@ -731,5 +732,6 @@ def default_generators(
             monitoring_window=monitoring_window,
             seq_jump_threshold=seq_jump_threshold,
             mobility_window=mobility_window,
+            reregistration_window=reregistration_window,
         )
     )

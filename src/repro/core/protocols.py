@@ -79,6 +79,7 @@ class ProtocolModule:
 def sip_module(
     monitoring_window: float = 0.5,
     mobility_window: float = 60.0,
+    reregistration_window: float = 120.0,
 ) -> ProtocolModule:
     """SIP signalling: dialogs, orphan-RTP arming, IM, auth, malformed."""
     from repro.core.event_generators import (
@@ -97,7 +98,10 @@ def sip_module(
         generators=lambda: [
             DialogEventGenerator(),
             OrphanRtpGenerator(monitoring_window=monitoring_window),
-            ImSourceGenerator(mobility_window=mobility_window),
+            ImSourceGenerator(
+                mobility_window=mobility_window,
+                reregistration_window=reregistration_window,
+            ),
             AuthEventGenerator(),
             MalformedSipGenerator(),
         ],
@@ -168,11 +172,14 @@ def default_modules(
     monitoring_window: float = 0.5,
     seq_jump_threshold: int = 100,
     mobility_window: float = 60.0,
+    reregistration_window: float = 120.0,
 ) -> list[ProtocolModule]:
     """The five stock modules, in the pipeline's canonical order."""
     return [
         sip_module(
-            monitoring_window=monitoring_window, mobility_window=mobility_window
+            monitoring_window=monitoring_window,
+            mobility_window=mobility_window,
+            reregistration_window=reregistration_window,
         ),
         rtp_module(seq_jump_threshold=seq_jump_threshold),
         rtcp_module(monitoring_window=monitoring_window),

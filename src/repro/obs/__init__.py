@@ -29,11 +29,6 @@ from repro.obs.forensics import (
     load_bundle,
     write_malformed_bundle,
 )
-from repro.obs.budget import (
-    DEFAULT_FRAME_BUDGET,
-    OVERLOAD_RULE_ID,
-    LatencyBudgetDetector,
-)
 from repro.obs.history import MetricsHistory
 from repro.obs.instrument import EngineInstrumentation, InstrumentationHook
 from repro.obs.logsetup import get_logger, setup_logging
@@ -106,13 +101,11 @@ class Observability:
     tracer: Tracer | None = None
     # Streaming latency quantiles (frame/stage/module summaries).
     summaries: bool = True
-    # Stage/module sketches observe every Nth frame (1 = every frame);
-    # the frame-level sketch and the latency budget always see all.
+    # Frame, stage and module sketches observe every Nth frame
+    # (1 = every frame), coherently: a sampled frame feeds all three.
     summary_sample_rate: int = 4
     # Time every Nth rule match() invocation; 0 disables cost accounting.
     cost_sample_rate: int = 16
-    # Per-frame latency budget in seconds; None = engine default.
-    frame_budget: float | None = None
 
     @classmethod
     def create(cls, trace: bool = True) -> "Observability":
@@ -155,7 +148,6 @@ def current() -> Observability | None:
 
 __all__ = [
     "Counter",
-    "DEFAULT_FRAME_BUDGET",
     "DEFAULT_TRACE_SAMPLE_RATE",
     "EngineInstrumentation",
     "ForensicsConfig",
@@ -163,11 +155,9 @@ __all__ = [
     "Gauge",
     "Histogram",
     "InstrumentationHook",
-    "LatencyBudgetDetector",
     "MetricError",
     "MetricsHistory",
     "MetricsRegistry",
-    "OVERLOAD_RULE_ID",
     "Observability",
     "ObsServer",
     "ProvenanceGraph",

@@ -22,8 +22,10 @@ so cooperating detectors share a registry without colliding):
 * ``scidive_rule_cost_seconds_total{rule_id}`` /
   ``scidive_rule_cost_samples_total{rule_id}`` — sampled per-rule match
   cost (see :attr:`repro.core.rules.RuleSet.cost_sample_rate`).
-* ``scidive_frame_budget_burn_rate`` — the latency-budget detector's
-  current burn rate (budgets spent per frame over its window).
+* ``scidive_frame_budget_burn_rate`` — budgets spent per frame: the
+  burn the engine's overload controller saw at its last tick, or, for
+  an engine without one (cluster workers), the burn since the previous
+  gauge update.
 * ``scidive_generator_seconds_total`` / ``scidive_generator_calls_total``
   — cumulative per-generator wall time and fan-out counts.
 * ``scidive_housekeeping_runs_total`` / ``…_reclaimed_trails_total``.
@@ -39,6 +41,7 @@ from typing import Any
 from repro.core.hooks import FootprintHook
 from repro.obs.registry import DEFAULT_BUCKETS, MetricsRegistry
 from repro.obs.tracing import Tracer
+from repro.resilience.overload import StatsBurn
 
 # Stage histograms cover sub-microsecond decode steps up to 100 ms.
 STAGE_BUCKETS = tuple(b for b in DEFAULT_BUCKETS if b <= 0.1)
@@ -58,7 +61,7 @@ class EngineInstrumentation:
         "_frame_summary", "_stage_summary", "_module_summary",
         "_stage_summary_children", "_module_children",
         "_rule_cost", "_rule_cost_samples",
-        "_rule_cost_flushed", "_rule_samples_flushed", "_burn_rate",
+        "_rule_cost_flushed", "_rule_samples_flushed", "_burn_rate", "_stats_burn",
         "_shadow_matches", "_shadow_flushed", "_rulepack_reloads",
         "_spans_dropped", "_spans_dropped_flushed",
     )
@@ -165,8 +168,9 @@ class EngineInstrumentation:
         )
         self._burn_rate = registry.gauge(
             "scidive_frame_budget_burn_rate",
-            "Latency-budget burn rate (budgets spent per frame)", ("engine",),
+            "Frame-budget burn rate (budgets spent per frame)", ("engine",),
         ).labels(**label)
+        self._stats_burn: StatsBurn | None = None
         self._shadow_matches = registry.counter(
             "scidive_shadow_matches_total",
             "Alerts a shadow-mode rule would have raised", ("engine", "rule_id"),
@@ -340,9 +344,13 @@ class EngineInstrumentation:
                 self._spans_dropped_flushed = self.tracer.dropped
             elif delta < 0:
                 self._spans_dropped_flushed = self.tracer.dropped
-        budget = getattr(engine, "latency_budget", None)
-        if budget is not None:
-            self._burn_rate.set(budget.burn_rate)
+        overload = getattr(engine, "overload", None)
+        if overload is not None:
+            self._burn_rate.set(overload.controller.last_burn_rate)
+        else:
+            if self._stats_burn is None:
+                self._stats_burn = StatsBurn(engine)
+            self._burn_rate.set(self._stats_burn.sample())
 
     def flush_rule_costs(self, rules: Any) -> None:
         """Push each rule's sampled cost *delta* into the counters.
@@ -428,9 +436,8 @@ class InstrumentationHook(FootprintHook):
         # Latency sketches observe every Nth frame (coherently: a
         # sampled frame contributes frame AND distill AND generate AND
         # match, so quantiles stay unbiased systematic samples).  The
-        # latency budget still sees every frame — overload detection
-        # keeps full tail fidelity; only the *reported* quantiles are
-        # estimated from the sample.
+        # overload controller's burn input comes from the engine's
+        # frame/CPU counters, which still see every frame.
         self.summary_every = max(1, summary_every)
         self._summary_tick = self.summary_every - 1  # sample the first frame
         self._summary_on = False

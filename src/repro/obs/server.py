@@ -224,9 +224,6 @@ class StatusSource:
             reloads = getattr(engine, "rulepack_reloads", 0)
             if reloads:
                 engine_view["rulepack_reloads"] = reloads
-            budget = getattr(engine, "latency_budget", None)
-            if budget is not None:
-                engine_view["latency_budget"] = budget.as_dict()
             overload = getattr(engine, "overload", None)
             if overload is not None:
                 engine_view["overload"] = overload.as_dict()
@@ -279,10 +276,10 @@ class StatusSource:
             totals["frames"] += stats.frames
             totals["events"] += stats.events
             totals["alerts"] += stats.alerts
-            budget = getattr(engine, "latency_budget", None)
-            if budget is not None:
-                extra["burn_rate"] = round(budget.burn_rate, 4)
-                extra["overloaded"] = budget.overloaded
+            overload = getattr(engine, "overload", None)
+            if overload is not None:
+                extra["burn_rate"] = round(overload.controller.last_burn_rate, 4)
+                extra["overload_state"] = overload.controller.state
             frame_q = _quantile_view(
                 engine.metrics_registry(), "scidive_frame_latency_seconds"
             )

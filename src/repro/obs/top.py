@@ -8,7 +8,7 @@ sidecar and renders the operator's view of a live SCIDIVE deployment:
 * latency — per-frame and per-stage p50/p90/p99 from the streaming
   quantile summaries;
 * cost — the top-K most expensive rules by sampled match() time;
-* load — the latency-budget burn rate with an OVERLOAD banner, plus
+* load — the overload controller's state banner and burn rate, plus
   per-shard queue depths, live/dead workers and restart counts when a
   cluster is behind the sidecar.
 
@@ -162,16 +162,6 @@ def render(status: dict[str, Any], window: float = DEFAULT_WINDOW) -> list[str]:
                 f"({pack.get('rules', '?')} rules"
                 + (f", {reloads} reloads" if reloads else "")
                 + ")"
-            )
-        budget = engine.get("latency_budget")
-        if budget:
-            state = "OVERLOAD" if budget.get("overloaded") else "ok"
-            lines.append(
-                f"  budget: burn {budget.get('burn_rate', 0.0):.2f}x of "
-                f"{budget.get('budget_seconds', 0.0) * 1e3:g} ms/frame  "
-                f"[{state}]  over-budget "
-                f"{budget.get('over_budget_fraction', 0.0):.1%} of frames  "
-                f"self-alerts {budget.get('alerts_emitted', 0)}"
             )
         overload = engine.get("overload")
         if overload:

@@ -27,7 +27,7 @@ away.  Three cooperating pieces:
 
 * :mod:`repro.resilience.overload` — the closed-loop overload control
   plane: a hysteresis state machine (normal → brownout → shed →
-  recovering) driven by queue fill and latency-budget burn, plus a
+  recovering) driven by queue fill and frame-budget burn, plus a
   count-min-sketch per-source penalty box so volumetric floods shed the
   attacker's frames before an innocent subscriber's signalling.
 """

@@ -9,9 +9,10 @@ choice is not a policy: block stalls the router behind the flood, drop
 sheds media-first with no feedback, no recovery hysteresis and no
 accounting of what detection was given up.
 
-This module closes the loop.  An :class:`OverloadController` samples
-queue fill, the latency-budget burn rate (:mod:`repro.obs.budget`) and
-shed counters once per tick and drives an explicit state machine::
+This module closes the loop, and it is the only place overload is
+decided and announced.  An :class:`OverloadController` samples queue
+fill, the frame-budget *burn rate* and shed counters once per tick and
+drives an explicit state machine::
 
     normal -> brownout -> shed -> recovering -> normal
 
@@ -20,10 +21,17 @@ thresholds, and de-escalation requires a *dwell* of consecutive calm
 ticks) so the system never flaps.  Escalation is immediate — pressure
 is an emergency; calm is only trusted after it persists.
 
+Burn is an input signal, not a detector of its own: the engine CPU
+seconds spent since the last tick divided by (frames processed since the
+last tick × :data:`FRAME_BUDGET`), read from the
+:class:`~repro.core.engine.EngineStats` counters every engine keeps,
+dark or instrumented.  A burn of 1.0 means the engine spends exactly
+its per-frame allowance.
+
 Degraded-mode policy, in escalation order:
 
-* **brownout** — expensive optional work goes first: span tracing and
-  sketch sampling are floored, nothing is dropped;
+* **brownout** — expensive optional work goes first: span tracing,
+  rule cost sampling and sketch sampling are floored, nothing is dropped;
 * **shed** — non-signalling frames are dropped through the plane-aware
   path, *guarded by a per-source penalty box*: a count-min-sketch
   heavy-hitter accountant (:class:`SourceAccountant`) identifies
@@ -39,6 +47,11 @@ Every transition emits a ``SELF-OVERLOAD-<STATE>`` self-diagnostic
 alert carrying the evidence (previous state, trigger metric, top-k
 heavy sources), through the same sink as every other self-diagnostic —
 overload is an alert, not a log line.
+
+A controller has one of two owners: the cluster router
+(:class:`~repro.cluster.ScidiveCluster`, whose workers run without one)
+or a single engine (:class:`EngineOverload`, ``engine.overload``).
+Both degrade in-process engines through :func:`apply_degradation`.
 """
 
 from __future__ import annotations
@@ -64,8 +77,7 @@ OVERLOAD_STATES: tuple[str, ...] = (
 STATE_VALUES: dict[str, int] = {state: i for i, state in enumerate(OVERLOAD_STATES)}
 
 # Self-diagnostic rule-id prefix: SELF-OVERLOAD-BROWNOUT, SELF-OVERLOAD-SHED,
-# SELF-OVERLOAD-RECOVERING, SELF-OVERLOAD-NORMAL.  Distinct from the
-# latency-budget detector's bare SELF-OVERLOAD heartbeat.
+# SELF-OVERLOAD-RECOVERING, SELF-OVERLOAD-NORMAL — the only overload alerts.
 TRANSITION_RULE_PREFIX = "SELF-OVERLOAD-"
 
 _TRANSITION_SEVERITY: dict[str, Severity] = {
@@ -76,6 +88,9 @@ _TRANSITION_SEVERITY: dict[str, Severity] = {
 }
 
 _TRANSITION_LOG_LIMIT = 64
+
+# Per-frame CPU allowance (s): burn rates are in units of this budget.
+FRAME_BUDGET = 0.005
 
 
 @dataclass(frozen=True, slots=True)
@@ -343,7 +358,7 @@ class OverloadController:
         """One controller tick; returns the transition alert, if any.
 
         ``queue_fill`` is the worst per-worker fill fraction (0..1);
-        ``burn_rate`` the latency-budget burn where in-process engines
+        ``burn_rate`` the frame-budget burn where in-process engines
         make it observable (serial backend, single engine) — queued
         backends drive on queue fill alone; ``shed_rate`` the frames
         dropped this tick divided by ``tick_frames``.  The shed rate is
@@ -493,63 +508,99 @@ class OverloadController:
         }
 
 
+# Summary-sketch stride while degraded: 1-in-64 frames.
+DEGRADED_SUMMARY_EVERY = 64
+
+
+def apply_degradation(engine, degraded: bool, saved: tuple | None) -> tuple | None:
+    """The brownout policy for one in-process engine.
+
+    While ``degraded``, floor the optional work the hot path reads per
+    frame: per-rule cost sampling off and the live
+    :class:`~repro.obs.instrument.InstrumentationHook`'s summary stride
+    widened to 1-in-:data:`DEGRADED_SUMMARY_EVERY`.  ``saved`` is what
+    the previous call returned: None while nothing is degraded, else the
+    original ``(cost_sample_rate, summary_every)``, which is restored on
+    the first call that is no longer ``degraded``.  Returns the new
+    ``saved`` for the caller to keep.
+    """
+    hook = engine._hook if engine._instr is not None else None
+    ruleset = engine.ruleset
+    if degraded and saved is None:
+        saved = (
+            ruleset.cost_sample_rate,
+            hook.summary_every if hook is not None else 1,
+        )
+        ruleset.cost_sample_rate = 0
+        if hook is not None:
+            hook.summary_every = max(hook.summary_every, DEGRADED_SUMMARY_EVERY)
+    elif not degraded and saved is not None:
+        ruleset.cost_sample_rate = saved[0]
+        if hook is not None:
+            hook.summary_every = saved[1]
+        saved = None
+    return saved
+
+
+class StatsBurn:
+    """Burn since the last sample — ``Δcpu_seconds / (Δframes *
+    FRAME_BUDGET)`` — from an engine's own frame/CPU counters (owned
+    plus shadow-mode frames: replicas cost CPU too).  Sample between
+    frames, never inside :meth:`ScidiveEngine.process_frame_shadow`,
+    which swaps ``engine.stats`` for the shadow counters."""
+
+    __slots__ = ("engine", "_cpu", "_frames")
+
+    def __init__(self, engine) -> None:
+        self.engine = engine
+        self._cpu = 0.0
+        self._frames = 0
+
+    def sample(self) -> float:
+        stats, shadow = self.engine.stats, self.engine.shadow_stats
+        cpu = stats.cpu_seconds + shadow.cpu_seconds
+        frames = stats.frames + shadow.frames
+        if frames < self._frames:
+            # Counters were reset between phases: measure from zero.
+            self._cpu, self._frames = 0.0, 0
+        delta = frames - self._frames
+        burn = (cpu - self._cpu) / (delta * FRAME_BUDGET) if delta else 0.0
+        self._cpu, self._frames = cpu, frames
+        return burn
+
+
 class EngineOverload:
     """Single-engine harness: drives a controller off the engine's own
-    latency-budget burn rate and degrades/restores its optional work.
+    burn rate and degrades/restores its optional work.
 
-    The CLI attaches one to ``--overload`` replays; ``record_frame``
-    is called per processed frame and ticks the controller every
-    ``tick_frames``.  In degraded states the engine's optional work is
-    floored live (per-rule cost sampling off, stage/module summary
-    sketches widened to 1-in-64); on the return to ``normal`` the
-    original rates heal.
+    The engine owns one as ``engine.overload`` (see its ``overload=``
+    parameter) and calls ``record_frame`` once per processed frame; the
+    controller ticks every ``tick_frames`` with the burn of the frames
+    since the previous tick, then :func:`apply_degradation` floors or
+    heals the engine's optional work.
     """
-
-    _DEGRADED_SUMMARY_SAMPLE = 64
 
     def __init__(self, engine, config: OverloadConfig | None = None) -> None:
         self.engine = engine
         self.controller = OverloadController(
             config=config,
-            name=getattr(engine, "name", "engine"),
+            name=engine.name,
             emit_alert=engine._emit_self_alert,
         )
         self.frames = 0
-        self._saved_rates: tuple[int, int] | None = None
+        self._burn = StatsBurn(engine)
+        self._saved_rates: tuple | None = None
 
     def record_frame(self, timestamp: float) -> None:
         self.frames += 1
-        if self.frames % self.controller.config.tick_frames:
+        config = self.controller.config
+        if self.frames % config.tick_frames:
             return
-        budget = getattr(self.engine, "latency_budget", None)
-        burn = budget.burn_rate if budget is not None else 0.0
+        burn = self._burn.sample()
         self.controller.observe(timestamp, queue_fill=0.0, burn_rate=burn)
-        self._apply_degradation()
-
-    def _apply_degradation(self) -> None:
-        # Degrade the live knobs the hot path actually reads per frame:
-        # RuleSet.cost_sample_rate and the instrumentation's summary
-        # sampling stride (the Observability context's rates are only
-        # consulted at engine construction).
-        ruleset = getattr(self.engine, "ruleset", None)
-        instr = getattr(self.engine, "_instr", None)
-        if self.controller.degraded and self._saved_rates is None:
-            self._saved_rates = (
-                ruleset.cost_sample_rate if ruleset is not None else 0,
-                instr.summary_sample if instr is not None else 1,
-            )
-            if ruleset is not None:
-                ruleset.cost_sample_rate = 0
-            if instr is not None:
-                instr.summary_sample = max(
-                    instr.summary_sample, self._DEGRADED_SUMMARY_SAMPLE
-                )
-        elif not self.controller.degraded and self._saved_rates is not None:
-            if ruleset is not None:
-                ruleset.cost_sample_rate = self._saved_rates[0]
-            if instr is not None:
-                instr.summary_sample = self._saved_rates[1]
-            self._saved_rates = None
+        self._saved_rates = apply_degradation(
+            self.engine, self.controller.degraded, self._saved_rates
+        )
 
     def as_dict(self) -> dict:
         view = self.controller.as_dict()

@@ -19,8 +19,10 @@ import pytest
 
 from repro.cluster import ScidiveCluster
 from repro.cluster.sharding import PLANE_MEDIA, PLANE_SIGNALLING
+from repro.core.engine import ScidiveEngine
 from repro.experiments.harness import run_bye_attack
 from repro.resilience.chaos import _FLOOD_IP, _flood_frames
+from repro.obs import Observability, parse_prometheus
 from repro.resilience.overload import OverloadConfig
 from repro.voip.testbed import CLIENT_A_IP
 
@@ -196,5 +198,81 @@ class TestShedUnderPressureOrdering:
             # The one survivor is the innocent subscriber's signalling.
             assert len(remainder) == 1
             assert bytes(remainder[0][0][26:30]) == self.INNOCENT
+        finally:
+            cluster.stop()
+
+
+class TestSerialBurnAndBrownout:
+    """The serial backend runs engines in-process: the router's
+    controller reads each worker's burn from its counters and browns
+    the live instrumentation out through the shared routine."""
+
+    def test_burn_drives_brownout_on_real_worker_hooks(self):
+        cluster = ScidiveCluster(
+            workers=2,
+            backend="serial",
+            batch_size=8,
+            vantage_ip=CLIENT_A_IP,
+            metrics_enabled=True,
+            overload_enabled=True,
+            overload_config=OverloadConfig(burn_high=1e-6, tick_frames=16),
+        )
+        cluster.start()
+        engines = [worker.engine for worker in cluster._workers]
+        # One controller per cluster: the workers carry none.
+        assert all(engine.overload is None for engine in engines)
+        assert {engine._hook.summary_every for engine in engines} == {4}
+        for record in _bye_trace():
+            cluster.submit_frame(record.frame, record.timestamp)
+        assert cluster.overload.state == "brownout"
+        assert cluster.overload.last_burn_rate > 0.0
+        for engine in engines:
+            assert engine._hook.summary_every == 64
+            assert engine.ruleset.cost_sample_rate == 0
+        result = cluster.stop()
+        overloads = [
+            a.rule_id for a in result.alerts if a.rule_id.startswith("SELF-OVERLOAD")
+        ]
+        assert overloads == ["SELF-OVERLOAD-BROWNOUT"]
+        assert any(a.rule_id == "BYE-001" for a in result.alerts)
+
+
+def _instrumented_factory(worker_id, config):
+    """A custom factory that leaves ``overload`` at its default, which
+    is on for an instrumented engine."""
+    return ScidiveEngine(
+        vantage_ip=config.vantage_ip, name=f"worker-{worker_id}",
+        observability=Observability.create(trace=False),
+    )
+
+
+class TestWorkerBurnGauge:
+    """Workers carry no controller, yet each still exports its own
+    frame-budget burn: on queued backends that gauge is the only burn
+    signal, so it must not sit at a constant 0."""
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_every_worker_exports_a_moving_burn(self, backend):
+        cluster = ScidiveCluster(
+            workers=2, backend=backend, vantage_ip=CLIENT_A_IP,
+            metrics_enabled=True,
+        )
+        result = cluster.process_trace(_bye_trace())
+        families = parse_prometheus(result.registry.render_prometheus())
+        burns = families["scidive_frame_budget_burn_rate"]
+        for worker in ("worker-0", "worker-1"):
+            [value] = [v for k, v in burns.items() if f'engine="{worker}"' in k]
+            assert value > 0.0
+
+    def test_custom_factory_engines_lose_their_controller(self):
+        cluster = ScidiveCluster(
+            workers=2, backend="serial", vantage_ip=CLIENT_A_IP,
+            engine_factory=_instrumented_factory, overload_enabled=True,
+        )
+        cluster.start()
+        try:
+            engines = [worker.engine for worker in cluster._workers]
+            assert all(e.metrics_enabled for e in engines)
+            assert all(e.overload is None for e in engines)
         finally:
             cluster.stop()

@@ -62,6 +62,27 @@ class TestScidiveConfig:
         testbed.run_for(1.5)
         assert engine.alerts_for_rule(RULE_BYE_ATTACK)
 
+    def test_built_engine_dispatches_default_generators(self):
+        # Same generators, same order, for every protocol: the config
+        # builds the stock modules' generators, not a list of its own.
+        from repro.core.footprint import Protocol
+
+        built = ScidiveConfig().build_engine()
+        default = ScidiveEngine()
+        names = lambda gens: [g.name for g in gens]  # noqa: E731
+        assert names(built.generators) == names(default.generators)
+        for protocol in Protocol:
+            assert names(built.generators_for(protocol)) == names(
+                default.generators_for(protocol)
+            )
+
+    def test_reregistration_window_reaches_im_generator(self):
+        from repro.core.event_generators import ImSourceGenerator
+
+        engine = ScidiveConfig(reregistration_window=7.0).build_engine()
+        (im,) = [g for g in engine.generators if isinstance(g, ImSourceGenerator)]
+        assert im.reregistration_window == 7.0
+
     def test_disabled_rule_never_fires(self):
         from repro.attacks import RtpAttack
 

@@ -67,8 +67,9 @@ class TestRender:
         assert f"{result.engine.stats.frames:,} frames" in text
         assert "latency (ms)      p50     p90     p99" in text
         assert "frame" in text and "distill" in text
-        assert "budget: burn" in text
-        assert "[ok]" in text
+        # The frame-budget burn rides in the overload controller's panel.
+        assert "overload: [normal]" in text
+        assert "burn " in text
         assert "history:" in text
 
     def test_top_rules_panel_appears_when_cost_sampled(self, live_server):

@@ -68,8 +68,8 @@ class TestChaosFlood:
         """The seeded parts — stream construction, mutation, routing,
         detection — replay identically.  The controller's dynamics race
         with worker drain timing (instantaneous queue-fill gauges, and
-        through the transition tick the SELF-OVERLOAD alert count), so
-        they are excluded; each run's shed/detect invariants are still
+        through the transition ticks the count of SELF-OVERLOAD-*
+        transition alerts), so they are excluded; each run's shed/detect invariants are still
         enforced by the judge (``report.ok``)."""
         config = ChaosConfig(
             seed=11, attacks=("fake-im",), workers=2, backend="threads",

@@ -4,10 +4,15 @@ the single-engine degradation harness."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.alerts import Severity
+from repro.core.engine import ScidiveEngine
+from repro.obs import Observability
 from repro.resilience.overload import (
+    DEGRADED_SUMMARY_EVERY,
     STATE_BROWNOUT,
     STATE_NORMAL,
     STATE_RECOVERING,
@@ -15,7 +20,6 @@ from repro.resilience.overload import (
     STATE_VALUES,
     TRANSITION_RULE_PREFIX,
     CountMinSketch,
-    EngineOverload,
     OverloadConfig,
     OverloadController,
     SourceAccountant,
@@ -275,61 +279,54 @@ class TestOverloadController:
         assert controller.degraded and controller.shedding
 
 
-class _FakeBudget:
-    def __init__(self):
-        self.burn_rate = 0.0
+@pytest.fixture(scope="module")
+def bye_records():
+    from repro.experiments.harness import run_bye_attack
+
+    return list(run_bye_attack(seed=7).testbed.ids_tap.trace)
 
 
-class _FakeRuleSet:
-    def __init__(self):
-        self.cost_sample_rate = 8
-
-
-class _FakeInstr:
-    def __init__(self):
-        self.summary_sample = 4
-
-
-class _FakeEngine:
-    name = "fake"
-
-    def __init__(self):
-        self.latency_budget = _FakeBudget()
-        self.ruleset = _FakeRuleSet()
-        self._instr = _FakeInstr()
-        self.self_alerts: list = []
-
-    def _emit_self_alert(self, alert):
-        self.self_alerts.append(alert)
+def _feed(engine, records) -> None:
+    for record in records:
+        engine.process_frame(record.frame, record.timestamp)
 
 
 class TestEngineOverload:
-    def test_ticks_every_tick_frames(self):
-        engine = _FakeEngine()
-        overload = EngineOverload(engine, OverloadConfig(tick_frames=4))
-        for i in range(7):
-            overload.record_frame(float(i))
-        assert overload.controller.ticks == 1
-        overload.record_frame(8.0)
-        assert overload.controller.ticks == 2
+    def test_ticks_every_tick_frames(self, bye_records):
+        engine = ScidiveEngine(overload=OverloadConfig(tick_frames=4))
+        _feed(engine, bye_records[:7])
+        assert engine.overload.controller.ticks == 1
+        _feed(engine, bye_records[7:8])
+        assert engine.overload.controller.ticks == 2
 
-    def test_degrades_and_heals_sampling(self):
-        engine = _FakeEngine()
-        overload = EngineOverload(
-            engine,
-            OverloadConfig(tick_frames=1, dwell_ticks=1, recovery_ticks=1),
+    def test_degrades_and_heals_sampling(self, bye_records):
+        # A real instrumented engine: brownout must widen the stride the
+        # live InstrumentationHook reads, not a copy of it.
+        config = OverloadConfig(
+            burn_high=1e-6, tick_frames=4, dwell_ticks=1, recovery_ticks=1
         )
-        engine.latency_budget.burn_rate = 3.0
-        overload.record_frame(1.0)
+        engine = ScidiveEngine(
+            observability=Observability.create(trace=False), overload=config
+        )
+        overload, hook = engine.overload, engine._hook
+        assert engine.ruleset.cost_sample_rate == 16
+        assert hook.summary_every == 4
+        _feed(engine, bye_records[:4])
         assert overload.controller.state == STATE_BROWNOUT
         assert engine.ruleset.cost_sample_rate == 0
-        assert engine._instr.summary_sample == 64
+        assert hook.summary_every == DEGRADED_SUMMARY_EVERY
         assert overload.as_dict()["degraded_sampling"] is True
-        assert engine.self_alerts[0].rule_id.startswith(TRANSITION_RULE_PREFIX)
-        engine.latency_budget.burn_rate = 0.0
-        overload.record_frame(2.0)   # brownout -> recovering (dwell 1)
-        overload.record_frame(3.0)   # recovering -> normal
+        assert engine.alerts[0].rule_id == f"{TRANSITION_RULE_PREFIX}BROWNOUT"
+        # While degraded the frame-latency sketch sees 1 frame in 64.
+        sketch = hook._s_frame
+        before = sketch.count
+        _feed(engine, bye_records[4:4 + 2 * DEGRADED_SUMMARY_EVERY])
+        assert sketch.count - before == 2
+        # The threshold rises far above any real burn, and the
+        # controller heals through recovering to normal.
+        overload.controller.config = dataclasses.replace(config, burn_high=1e9)
+        _feed(engine, bye_records[132:140])
         assert overload.controller.state == STATE_NORMAL
-        assert engine.ruleset.cost_sample_rate == 8
-        assert engine._instr.summary_sample == 4
+        assert engine.ruleset.cost_sample_rate == 16
+        assert hook.summary_every == 4
         assert overload.as_dict()["degraded_sampling"] is False

@@ -19,6 +19,7 @@ import pytest
 
 from repro.cluster import ScidiveCluster
 from repro.core import rules_library
+from repro.core.config import ScidiveConfig
 from repro.core.engine import ScidiveEngine
 from repro.experiments.harness import (
     run_benign,
@@ -98,6 +99,14 @@ class TestScenarioEquivalence:
         expected = GOLDEN[name]["alerts"]
         assert _engine_signatures(name) == expected
         assert _engine_signatures(name, indexed_dispatch=False) == expected
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_config_built_engine_matches_golden(self, name):
+        config = ScidiveConfig(vantage_ip=GOLDEN[name]["vantage_ip"])
+        engine = config.build_engine()
+        engine.process_trace(_scenario_trace(name))
+        got = collections.Counter(tuple(_signature(a)) for a in engine.alerts)
+        assert got == collections.Counter(map(tuple, GOLDEN[name]["alerts"]))
 
     @pytest.mark.parametrize("backend", ["serial", "threads", "process"])
     def test_two_worker_cluster_matches_golden(self, backend):
